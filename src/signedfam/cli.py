@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from .core import DEFAULT_CAP, Params, star, universe
+from .core import DEFAULT_CAP, Params, bound_value, star, universe
 from .errors import (
     CapExceeded,
     Error,
@@ -24,7 +24,7 @@ from .errors import (
     TooLarge,
     UnsupportedRange,
 )
-from .injection import assemble_injection, verify_certificate
+from .injection import assemble_injection
 from .jsonl import (
     certificate_to_json,
     read_signed_families,
@@ -88,20 +88,21 @@ def _cmd_inject(args) -> int:
             file=sys.stderr,
         )
         return 2
+    # assemble_injection has verified the certificate; a failure raised
+    # VerificationFailed, which exits 1.
     cert = assemble_injection(families[0])
     text = certificate_to_json(cert)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text + "\n")
-        report = verify_certificate(cert)
+        size, bound = len(cert.domain), bound_value(cert.params)
         if args.json:
-            print(_dump({"size": report.domain_size, "bound": report.bound, "ok": report.ok}))
+            print(_dump({"size": size, "bound": bound, "ok": True}))
         else:
-            print(f"mapped {report.domain_size} sets into the star (bound {report.bound})")
+            print(f"mapped {size} sets into the star (bound {bound})")
     else:
         print(text)
-        report = verify_certificate(cert)
-    return 0 if report.ok else 1
+    return 0
 
 
 def _cmd_search(args) -> int:

@@ -220,13 +220,29 @@ class PlainFamily:
 
 
 def is_intersecting(fam: SignedFamily) -> bool:
-    """True when every two members share a signed pair (vacuous below 2)."""
-    masks = [_pair_mask(m, fam.params.r) for m in fam.members]
-    for i in range(len(masks)):
-        mi = masks[i]
-        for j in range(i + 1, len(masks)):
-            if not mi & masks[j]:
-                return False
+    """True when every two members share a signed pair (vacuous below 2).
+
+    Each (element, sign) slot gets a bitmask of the members holding it.
+    A member meets every member, itself included, iff the OR of its
+    slots' masks covers the whole family: O(|F| * k) big-int ORs in
+    place of O(|F|^2) pair tests.  The shortcut below 2 members keeps a
+    lone empty member vacuously intersecting.
+    """
+    members = fam.members
+    if len(members) < 2:
+        return True
+    slots: dict[Pair, int] = {}
+    for i, m in enumerate(members):
+        bit = 1 << i
+        for p in m:
+            slots[p] = slots.get(p, 0) | bit
+    full = (1 << len(members)) - 1
+    for m in members:
+        cover = 0
+        for p in m:
+            cover |= slots[p]
+        if cover != full:
+            return False
     return True
 
 

@@ -145,7 +145,10 @@ def match_to_shadow(tails: PlainFamily) -> MatchingResult:
 
     k is recovered from the family shape: members have size
     ground - 1 - k.  Augmenting-path search over the membership graph
-    between the family and its (k-1)-shadow.  For families that arise
+    between the family and its (k-1)-shadow, with each member's
+    neighbours held as a bitmask over shadow indices and the
+    depth-first search kept on an explicit stack, so no recursion limit
+    applies however long a path grows.  For families that arise
     from an intersecting input with 2k <= n, every subfamily inherits
     the pairwise intersection floor n - 2k, the intersection-shadow
     inequality then gives Hall's condition, and the matching always
@@ -162,31 +165,47 @@ def match_to_shadow(tails: PlainFamily) -> MatchingResult:
         )
     sh = shadow_to(tails, k - 1)
     right_index = {m: i for i, m in enumerate(sh.members)}
-    adjacency = [
-        [right_index[sub] for sub in itertools.combinations(m, k - 1)]
-        for m in tails.members
-    ]
-    match_left: dict[int, int] = {}
-    match_right: dict[int, int] = {}
-
-    def augment(u: int, seen: set[int]) -> bool:
-        for v in adjacency[u]:
-            if v in seen:
+    rows = []
+    for m in tails.members:
+        row = 0
+        for sub in itertools.combinations(m, k - 1):
+            row |= 1 << right_index[sub]
+        rows.append(row)
+    match_left = [-1] * len(rows)
+    match_right = [-1] * len(sh.members)
+    for u in range(len(rows)):
+        # Kuhn's search from u.  path[i] is the shadow vertex taken from
+        # stack[i].  Members are sorted, so combinations() yields subsets
+        # in increasing shadow index and the lowest unseen bit of a row
+        # is the next neighbour in combinations() order.  Certificates
+        # depend on that order: the search must pick the same matching
+        # as recursive Kuhn (the reference in tests/test_matching.py).
+        seen = 0
+        stack = [u]
+        path: list[int] = []
+        while stack:
+            free = rows[stack[-1]] & ~seen
+            if not free:
+                stack.pop()
+                if path:
+                    path.pop()
                 continue
-            seen.add(v)
-            w = match_right.get(v)
-            if w is None or augment(w, seen):
-                match_right[v] = u
-                match_left[u] = v
-                return True
-        return False
-
-    for u in range(len(tails.members)):
-        if not augment(u, set()):
+            bit = free & -free
+            seen |= bit
+            v = bit.bit_length() - 1
+            path.append(v)
+            w = match_right[v]
+            if w < 0:
+                for x, y in zip(stack, path):
+                    match_left[x] = y
+                    match_right[y] = x
+                break
+            stack.append(w)
+        else:
             raise NoPerfectMatching(
                 f"no injective shadow assignment covers {tails.members[u]}"
             )
-    assignment = {tails.members[u]: sh.members[v] for u, v in match_left.items()}
+    assignment = {m: sh.members[v] for m, v in zip(tails.members, match_left)}
     return MatchingResult(assignment)
 
 
@@ -219,7 +238,7 @@ def sign_assign(
         try:
             target = matching.assignment[tail_complement]
         except KeyError:
-            raise ValueError(
+            raise NoPerfectMatching(
                 f"matching does not cover the tail complement {tail_complement}"
             ) from None
         vectors = itertools.product(range(1, p.r + 1), repeat=len(target))

@@ -55,6 +55,10 @@ def test_inject_star_round_trip(capsys, tmp_path):
     run(capsys, "star", "-n", "4", "-k", "2", "-r", "2", "-o", str(fam_path))
     code, stdout, _ = run(capsys, "inject", str(fam_path), "-o", str(cert_path))
     assert code == 0
+    assert stdout == "mapped 6 sets into the star (bound 6)\n"
+    code, stdout, _ = run(capsys, "inject", str(fam_path), "-o", str(cert_path), "--json")
+    assert code == 0
+    assert stdout == '{"size":6,"bound":6,"ok":true}\n'
     cert = json.loads(cert_path.read_text())
     assert cert["params"] == {"n": 4, "k": 2, "r": 2}
     assert cert["blocks"] == {"a0": 0, "a": [6, 0]}

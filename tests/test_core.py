@@ -1,6 +1,7 @@
 """Core types and operations: canonical forms, universes, shifts."""
 
 import itertools
+import random
 
 import pytest
 from conftest import sf
@@ -81,8 +82,45 @@ def test_intersects_examples():
 
 def test_is_intersecting():
     assert is_intersecting(sf(4, 2, 2, []))
+    assert is_intersecting(sf(4, 2, 2, [[(3, 1), (4, 2)]]))
+    # a lone size-0 member holds no slot, yet is vacuously intersecting
+    assert is_intersecting(SignedFamily(Params(4, 2, 2), ((),)))
     assert is_intersecting(star(Params(4, 2, 2)))
     assert not is_intersecting(sf(2, 1, 2, [[(1, 1)], [(2, 1)]]))
+
+
+def pairwise_intersecting(fam):
+    return all(intersects(a, b) for a, b in itertools.combinations(fam.members, 2))
+
+
+def test_is_intersecting_agrees_with_pairwise_reference():
+    p = Params(5, 2, 3)
+    pool = universe(p).members
+    star_members = star(p).members
+    outcomes = set()
+    for seed in range(200):
+        rng = random.Random(seed)
+        if seed % 2:
+            picked = rng.sample(pool, rng.randint(2, 6))
+        else:
+            # a star subfamily plus one arbitrary member: disjoint pairs are rare
+            picked = rng.sample(star_members, rng.randint(1, 12)) + [rng.choice(pool)]
+        fam = SignedFamily(p, tuple(set(picked)))
+        want = pairwise_intersecting(fam)
+        assert is_intersecting(fam) == want
+        outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+def test_is_intersecting_finds_disjoint_last_pair():
+    a = ((4, 1), (5, 1), (6, 1))
+    b = ((4, 2), (5, 2), (6, 2))
+    shared = [((x, s), (4, 1), (5, 2)) for x in (1, 2, 3) for s in (1, 2)]
+    fam = sf(6, 3, 2, shared + [a, b])
+    assert fam.members[-2:] == (a, b)
+    assert not is_intersecting(fam)
+    assert not pairwise_intersecting(fam)
+    assert is_intersecting(sf(6, 3, 2, shared + [a]))
 
 
 def test_universe_smallest_case_exact():

@@ -137,6 +137,13 @@ def test_sign_assign_empty():
     assert sign_assign(sf(4, 2, 2, []), MatchingResult({})) == {}
 
 
+def test_sign_assign_reports_uncovered_support_as_matching_fault():
+    # supports (2,3) and (2,4) have tail complements (4,) and (3,); only one is matched
+    free = sf(4, 2, 2, [[(2, 1), (3, 1)], [(2, 1), (4, 1)]])
+    with pytest.raises(NoPerfectMatching):
+        sign_assign(free, MatchingResult({(4,): (4,)}))
+
+
 def test_sign_assign_group_overflow():
     # three members on one support cannot pairwise intersect when r=2, k=2
     free = sf(4, 2, 2, [[(2, 1), (3, 1)], [(2, 1), (3, 2)], [(2, 2), (3, 1)]])
