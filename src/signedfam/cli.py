@@ -5,8 +5,9 @@ random-family.  Families travel as JSONL (one family per line); with
 --json stdout carries machine-readable JSON, otherwise human text.
 
 Exit codes: 0 success, 2 invalid parameters or parse errors, 3 cap
-exceeded, 4 input family not intersecting, 5 parameters outside the
-constructed range (r < 2 or 2k > n), 1 anything else.
+exceeded or intersection graph too large, 4 input family not
+intersecting, 5 parameters outside the constructed range (r < 2 or
+2k > n), 1 anything else.
 """
 
 from __future__ import annotations

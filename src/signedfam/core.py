@@ -169,6 +169,22 @@ class SignedFamily:
         return frozenset(self.members)
 
 
+def _canonical_family(params: Params, members: tuple[SignedSet, ...]) -> SignedFamily:
+    """A SignedFamily built without __post_init__'s sort and validation.
+
+    Precondition, unchecked: members is a tuple of distinct signed sets
+    that are canonical (pairs sorted by element, in range, of common
+    size) and already sorted, as __post_init__ would leave them.
+    Internal callers use it only where that holds by construction,
+    such as sorted index subsets of the canonical universe or
+    subsequences of a validated family.
+    """
+    fam = object.__new__(SignedFamily)
+    object.__setattr__(fam, "params", params)
+    object.__setattr__(fam, "members", members)
+    return fam
+
+
 @dataclass(frozen=True)
 class PlainFamily:
     """Uniform-size plain subsets of [ground], duplicate-free and sorted."""
@@ -219,6 +235,16 @@ class PlainFamily:
         return frozenset(self.members)
 
 
+def _slot_masks(members) -> dict[Pair, int]:
+    """For each (element, sign) slot, the bitmask of member indices holding it."""
+    slots: dict[Pair, int] = {}
+    for i, m in enumerate(members):
+        bit = 1 << i
+        for p in m:
+            slots[p] = slots.get(p, 0) | bit
+    return slots
+
+
 def is_intersecting(fam: SignedFamily) -> bool:
     """True when every two members share a signed pair (vacuous below 2).
 
@@ -231,11 +257,7 @@ def is_intersecting(fam: SignedFamily) -> bool:
     members = fam.members
     if len(members) < 2:
         return True
-    slots: dict[Pair, int] = {}
-    for i, m in enumerate(members):
-        bit = 1 << i
-        for p in m:
-            slots[p] = slots.get(p, 0) | bit
+    slots = _slot_masks(members)
     full = (1 << len(members)) - 1
     for m in members:
         cover = 0

@@ -18,7 +18,7 @@ class WrongSize(Error):
 
 
 class TooLarge(Error):
-    """A requested family would exceed the configured member cap."""
+    """A requested family or intersection graph would exceed its size limit."""
 
 
 class SizeExceedsMembers(Error):

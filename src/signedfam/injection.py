@@ -29,6 +29,7 @@ from .core import (
     PlainSet,
     SignedFamily,
     SignedSet,
+    _canonical_family,
     bound_value,
     is_intersecting,
     make_signed_set,
@@ -73,9 +74,10 @@ def partition_family(fam: SignedFamily) -> Partition:
             blocks[m[0][1] - 1].append(m)
         else:
             free.append(m)
+    # subsequences of an already canonical family need no re-validation
     return Partition(
-        SignedFamily(fam.params, tuple(free)),
-        tuple(SignedFamily(fam.params, tuple(b)) for b in blocks),
+        _canonical_family(fam.params, tuple(free)),
+        tuple(_canonical_family(fam.params, tuple(b)) for b in blocks),
     )
 
 
@@ -252,16 +254,13 @@ class InjectionCertificate:
     """Explicit injective map from a family into the star at (1, 1).
 
     block_sizes lists the partition class sizes, free class first and
-    then one entry per sign.  free_pool_size counts the signed shadow
-    targets available to the free class; for valid inputs it is at
-    least block_sizes[0].
+    then one entry per sign.
     """
 
     params: Params
     domain: SignedFamily
     mapping: tuple[tuple[SignedSet, SignedSet], ...]
     block_sizes: tuple[int, ...]
-    free_pool_size: int
 
 
 @dataclass(frozen=True)
@@ -297,7 +296,6 @@ def assemble_injection(fam: SignedFamily) -> InjectionCertificate:
             pairs.append((m, tuple(sorted(shifted + ((1, 1),)))))
     tails = complements_in_tail(build_supports(part.free), p.n)
     matching = match_to_shadow(tails)
-    pool = p.r ** (p.k - 1) * len(shadow_to(tails, p.k - 1))
     for m, housed in sign_assign(part.free, matching).items():
         pairs.append((m, tuple(sorted(housed + ((1, 1),)))))
     pairs.sort()
@@ -306,7 +304,6 @@ def assemble_injection(fam: SignedFamily) -> InjectionCertificate:
         domain=fam,
         mapping=tuple(pairs),
         block_sizes=(len(part.free),) + tuple(len(b) for b in part.anchored),
-        free_pool_size=pool,
     )
     report = verify_certificate(cert)
     if not report.ok:

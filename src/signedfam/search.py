@@ -2,7 +2,9 @@
 
 Vertices are the signed k-sets of the universe in canonical order;
 edges join intersecting pairs.  Adjacency lives in bitmask rows, one
-arbitrary-precision integer per vertex.  On top of that graph:
+arbitrary-precision integer per vertex: the OR of the vertex's k
+(element, sign) slot masks, each the set of vertices holding that
+slot, minus the vertex's own bit.  On top of that graph:
 
 - exact maximum intersecting family size by branch-and-bound maximum
   clique with greedy-colouring upper bounds,
@@ -19,19 +21,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 from .core import (
     DEFAULT_CAP,
     Params,
     SignedFamily,
-    _pair_mask,
+    _canonical_family,
+    _slot_masks,
     bound_value,
     universe,
 )
-from .errors import CapExceeded
+from .errors import CapExceeded, TooLarge
 
 #: Default ceiling on branch-and-bound search tree nodes.
 DEFAULT_NODE_BUDGET = 10_000_000
+
+#: Ceiling on the V^2 bits of intersection-graph adjacency rows (512 MB).
+MAX_GRAPH_BITS = 2**32
 
 _MASK64 = (1 << 64) - 1
 
@@ -96,17 +103,22 @@ class BoundReport:
 
 @lru_cache(maxsize=32)
 def _intersection_graph(params: Params, cap: int):
-    """Vertices (canonical order) and bitmask adjacency rows, cached."""
+    """Vertices (canonical order) and bitmask adjacency rows, cached.
+
+    O(V * k) big-int ORs.  Raises TooLarge, before the universe is
+    built, when the V^2 row bits would exceed MAX_GRAPH_BITS.
+    """
+    nv = params.r ** params.k * comb(params.n, params.k)
+    if nv * nv > MAX_GRAPH_BITS:
+        raise TooLarge(f"graph has {nv}^2 adjacency bits, limit is {MAX_GRAPH_BITS}")
     verts = universe(params, cap).members
-    r = params.r
-    masks = [_pair_mask(v, r) for v in verts]
-    adj = [0] * len(verts)
-    for i in range(len(verts)):
-        mi = masks[i]
-        for j in range(i + 1, len(verts)):
-            if mi & masks[j]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    slots = _slot_masks(verts)
+    adj = []
+    for i, v in enumerate(verts):
+        row = 0
+        for p in v:
+            row |= slots[p]
+        adj.append(row ^ (1 << i))  # row holds v's own bit; drop it
     return verts, tuple(adj)
 
 
@@ -118,7 +130,7 @@ def _bit_indices(mask: int):
 
 
 def _greedy_clique(adj, order) -> list[int]:
-    """First-fit clique along the given vertex order; deterministic seed bound."""
+    """First-fit clique along the given vertex order."""
     allowed = (1 << len(adj)) - 1
     chosen = []
     for v in order:
@@ -135,25 +147,15 @@ def max_intersecting_exact(
 ) -> SearchResult:
     """Exact maximum intersecting family size by branch-and-bound.
 
-    Vertices are relabelled by descending degree, candidates are
-    greedily coloured at every node, and branches whose colour bound
-    cannot beat the incumbent are pruned.  Nodes are search-tree
-    expansions; when the budget runs out the best clique so far is
-    returned with exhausted = False.
+    Vertices keep canonical order (the graph is vertex-transitive, so a
+    degree order would be the identity), candidates are greedily
+    coloured at every node, and branches whose colour bound cannot
+    beat the incumbent are pruned.  Nodes are search-tree expansions;
+    when the budget runs out the best clique so far is returned with
+    exhausted = False.
     """
-    verts, adj0 = _intersection_graph(params, cap)
+    verts, adj = _intersection_graph(params, cap)
     nv = len(verts)
-    order = sorted(range(nv), key=lambda i: (-adj0[i].bit_count(), i))
-    pos = [0] * nv
-    for new, old in enumerate(order):
-        pos[old] = new
-    adj = [0] * nv
-    for old in range(nv):
-        row = 0
-        for j in _bit_indices(adj0[old]):
-            row |= 1 << pos[j]
-        adj[pos[old]] = row
-
     best_clique = _greedy_clique(adj, range(nv))
     best_size = len(best_clique)
     nodes = 0
@@ -201,10 +203,9 @@ def max_intersecting_exact(
 
     if nv:
         expand((1 << nv) - 1)
-    members = tuple(verts[order[v]] for v in best_clique)
     return SearchResult(
         max_size=best_size,
-        witness=SignedFamily(params, members),
+        witness=_canonical_family(params, tuple(verts[v] for v in sorted(best_clique))),
         nodes_explored=nodes,
         exhausted=not aborted,
     )
@@ -225,12 +226,11 @@ def enumerate_maximal_intersecting(
     cur: list[int] = []
 
     def to_families(cliques) -> list[SignedFamily]:
-        fams = [
-            SignedFamily(params, tuple(verts[i] for i in clique))
-            for clique in cliques
+        # verts is sorted, so sorting index tuples sorts the member tuples
+        return [
+            _canonical_family(params, tuple(verts[i] for i in clique))
+            for clique in sorted(tuple(sorted(c)) for c in cliques)
         ]
-        fams.sort(key=lambda f: f.members)
-        return fams
 
     def bk(p_mask: int, x_mask: int) -> None:
         if not p_mask and not x_mask:
@@ -273,13 +273,8 @@ def random_maximal_intersecting(
     verts, adj = _intersection_graph(params, cap)
     idx = list(range(len(verts)))
     SplitMix64(seed).shuffle(idx)
-    allowed = (1 << len(verts)) - 1
-    chosen = []
-    for i in idx:
-        if (allowed >> i) & 1:
-            chosen.append(i)
-            allowed &= adj[i]
-    return SignedFamily(params, tuple(verts[i] for i in chosen))
+    chosen = sorted(_greedy_clique(adj, idx))
+    return _canonical_family(params, tuple(verts[i] for i in chosen))
 
 
 def verify_bound(

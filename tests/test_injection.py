@@ -207,7 +207,6 @@ def test_verify_certificate_flags_shared_target():
         domain=cert.domain,
         mapping=tampered,
         block_sizes=cert.block_sizes,
-        free_pool_size=cert.free_pool_size,
     )
     rep = verify_certificate(bad)
     assert not rep.ok
@@ -222,7 +221,6 @@ def test_verify_certificate_flags_missing_anchor_pair():
         domain=cert.domain,
         mapping=mapping,
         block_sizes=cert.block_sizes,
-        free_pool_size=cert.free_pool_size,
     )
     rep = verify_certificate(bad)
     assert not rep.ok

@@ -1,20 +1,27 @@
 """Search oracles: exact maximum, maximal enumeration, seeded sampling."""
 
+from math import comb
+
 import pytest
 
 from signedfam import (
     Params,
+    SignedFamily,
     SplitMix64,
     bound_value,
     enumerate_maximal_intersecting,
     intersects,
     is_intersecting,
     max_intersecting_exact,
+    partition_family,
     random_maximal_intersecting,
     universe,
     verify_bound,
 )
-from signedfam.errors import CapExceeded
+from signedfam import search
+from signedfam.cli import main
+from signedfam.core import _pair_mask
+from signedfam.errors import CapExceeded, TooLarge
 
 
 def test_splitmix64_reference_vector():
@@ -143,3 +150,96 @@ def test_verify_bound_reports():
     assert (rep.max_size, rep.bound) == (3, 2)
     rep = verify_bound(Params(5, 2, 2), node_budget=1)
     assert not rep.conclusive
+
+
+def pairwise_graph(params):
+    """The O(V^2) pair loop over _pair_mask encodings: the reference rows."""
+    verts = universe(params).members
+    masks = [_pair_mask(v, params.r) for v in verts]
+    adj = [0] * len(verts)
+    for i in range(len(verts)):
+        for j in range(i + 1, len(verts)):
+            if masks[i] & masks[j]:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return verts, tuple(adj)
+
+
+SMALL_GRAPHS = [
+    Params(n, k, r)
+    for n in range(1, 8)
+    for k in range(1, n + 1)
+    for r in range(1, 4)
+    if r**k * comb(n, k) <= 600
+]
+
+
+@pytest.mark.parametrize("params", SMALL_GRAPHS, ids=str)
+def test_slot_mask_graph_matches_pairwise_reference(params):
+    verts, adj = search._intersection_graph(params, 10**7)
+    ref_verts, ref_adj = pairwise_graph(params)
+    assert verts == ref_verts
+    assert adj == ref_adj
+    # vertex-transitivity: one degree everywhere, so no reordering helps
+    assert len({row.bit_count() for row in adj}) == 1
+
+
+def test_search_families_are_canonical():
+    # families built without re-validation equal their validated rebuilds
+    def check(fam):
+        assert fam == SignedFamily(fam.params, fam.members)
+
+    fams = enumerate_maximal_intersecting(Params(5, 2, 2))
+    for fam in fams:
+        check(fam)
+    assert [f.members for f in fams] == sorted(f.members for f in fams)
+    p = Params(8, 4, 2)
+    for seed in range(20):
+        fam = random_maximal_intersecting(p, seed)
+        check(fam)
+        part = partition_family(fam)
+        for block in (part.free,) + part.anchored:
+            check(block)
+    check(max_intersecting_exact(Params(7, 3, 3)).witness)
+
+
+def test_verify_bound_10_5_2_in_one_node():
+    rep = verify_bound(Params(10, 5, 2))
+    assert rep.conclusive and rep.matches
+    assert rep.max_size == rep.bound == 2016
+    assert rep.nodes_explored == 1
+
+
+def refuse_universe(*args, **kwargs):
+    raise AssertionError("the universe was built")
+
+
+def test_graph_preflight_refuses_before_building(monkeypatch):
+    monkeypatch.setattr(search, "universe", refuse_universe)
+    p = Params(20, 5, 2)  # V = 496,128: 2.5e11 adjacency bits
+    with pytest.raises(TooLarge):
+        max_intersecting_exact(p)
+    with pytest.raises(TooLarge):
+        random_maximal_intersecting(p, 0)
+    with pytest.raises(TooLarge):
+        enumerate_maximal_intersecting(p, cap=1)
+
+
+def test_graph_preflight_boundary(monkeypatch):
+    # (3,1,2) has V = 6; the limit admits V^2 == MAX_GRAPH_BITS exactly
+    build = search._intersection_graph.__wrapped__
+    monkeypatch.setattr(search, "MAX_GRAPH_BITS", 36)
+    assert len(build(Params(3, 1, 2), 10**7)[0]) == 6
+    monkeypatch.setattr(search, "MAX_GRAPH_BITS", 35)
+    monkeypatch.setattr(search, "universe", refuse_universe)
+    with pytest.raises(TooLarge):
+        build(Params(3, 1, 2), 10**7)
+
+
+def test_cli_search_graph_too_large_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr(search, "universe", refuse_universe)
+    code = main(["search", "-n", "20", "-k", "5", "-r", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "adjacency bits" in captured.err
