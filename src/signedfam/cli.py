@@ -7,7 +7,8 @@ random-family.  Families travel as JSONL (one family per line); with
 Exit codes: 0 success, 2 invalid parameters or parse errors, 3 cap
 exceeded or intersection graph too large, 4 input family not
 intersecting, 5 parameters outside the constructed range (r < 2 or
-2k > n), 1 anything else.
+2k > n), 1 anything else: a certificate that fails verification, or an
+internal fault (recursion or memory exhausted) reported on one line.
 """
 
 from __future__ import annotations
@@ -230,6 +231,10 @@ def main(argv=None) -> int:
         return 5
     except Error as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (RecursionError, MemoryError) as exc:
+        detail = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
+        print(f"error: internal: {detail}", file=sys.stderr)
         return 1
 
 

@@ -183,6 +183,3 @@ def certificate_to_json(cert: InjectionCertificate) -> str:
     }
     return json.dumps(obj, separators=(",", ":"))
 
-
-def certificate_to_path(path, cert: InjectionCertificate) -> None:
-    Path(path).write_text(certificate_to_json(cert) + "\n", encoding="utf-8", newline="\n")

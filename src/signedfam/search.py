@@ -7,9 +7,13 @@ arbitrary-precision integer per vertex: the OR of the vertex's k
 slot, minus the vertex's own bit.  On top of that graph:
 
 - exact maximum intersecting family size by branch-and-bound maximum
-  clique with greedy-colouring upper bounds,
+  clique with greedy-colouring upper bounds; the graph is
+  vertex-transitive (S_r wr S_n permutes signs and elements), so once
+  the root colour bound beats the greedy incumbent only cliques
+  through vertex 0 are searched,
 - enumeration of all maximal intersecting families by Bron-Kerbosch
-  with pivoting,
+  with pivoting, the pivot scan stopping at the first vertex that
+  covers every candidate,
 - reproducible random maximal intersecting families from a
   Fisher-Yates shuffle driven by SplitMix64.
 
@@ -122,13 +126,6 @@ def _intersection_graph(params: Params, cap: int):
     return verts, tuple(adj)
 
 
-def _bit_indices(mask: int):
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b
-
-
 def _greedy_clique(adj, order) -> list[int]:
     """First-fit clique along the given vertex order."""
     allowed = (1 << len(adj)) - 1
@@ -150,9 +147,13 @@ def max_intersecting_exact(
     Vertices keep canonical order (the graph is vertex-transitive, so a
     degree order would be the identity), candidates are greedily
     coloured at every node, and branches whose colour bound cannot
-    beat the incumbent are pruned.  Nodes are search-tree expansions;
-    when the budget runs out the best clique so far is returned with
-    exhausted = False.
+    beat the incumbent are pruned.  The root colours the whole graph:
+    if that bound does not beat the greedy first-fit clique the search
+    ends after one node; otherwise it branches on vertex 0 alone,
+    bounded by the root colour count, since by transitivity some
+    maximum clique contains vertex 0.  Nodes are search-tree
+    expansions; when the budget runs out the best clique so far is
+    returned with exhausted = False.
     """
     verts, adj = _intersection_graph(params, cap)
     nv = len(verts)
@@ -184,6 +185,10 @@ def max_intersecting_exact(
                 uncoloured ^= b
                 col_order.append(v)
                 col_bound.append(colour)
+        if not cur:
+            # root: the graph is vertex-transitive, so some maximum clique
+            # contains vertex 0; branch on it alone under the full bound
+            col_order, col_bound = [0], [colour]
         live = p_mask
         for i in range(len(col_order) - 1, -1, -1):
             if aborted:
@@ -217,8 +222,12 @@ def enumerate_maximal_intersecting(
     """All maximal intersecting families, in canonical family order.
 
     Bron-Kerbosch with pivoting (pivot maximizing candidate coverage,
-    ties to the lowest vertex).  Raises CapExceeded carrying the first
-    cap families found when there are more than cap maximal families.
+    ties to the lowest vertex).  The pivot scan walks P | X upwards and
+    stops at the first vertex adjacent to every candidate, which no
+    later vertex can beat, so the pivot and the discovery order are
+    those of a full scan.  Raises CapExceeded carrying the first cap
+    families found, in canonical order, when there are more than cap
+    maximal families.
     """
     verts, adj = _intersection_graph(params, DEFAULT_CAP)
     nv = len(verts)
@@ -240,18 +249,31 @@ def enumerate_maximal_intersecting(
                 )
             found.append(tuple(cur))
             return
+        # pivot: most candidates covered, ties to the lowest vertex; a
+        # vertex covering all of P cannot be beaten, so the scan stops there
+        full = p_mask.bit_count()
         pivot = -1
         best = -1
-        for u in _bit_indices(p_mask | x_mask):
+        m = p_mask | x_mask
+        while m:
+            b = m & -m
+            m ^= b
+            u = b.bit_length() - 1
             c = (p_mask & adj[u]).bit_count()
             if c > best:
                 best = c
                 pivot = u
+                if c == full:
+                    break
         p, x = p_mask, x_mask
-        for v in _bit_indices(p_mask & ~adj[pivot]):
-            bv = 1 << v
+        m = p_mask & ~adj[pivot]
+        while m:
+            bv = m & -m
+            m ^= bv
+            v = bv.bit_length() - 1
+            row = adj[v]
             cur.append(v)
-            bk(p & adj[v], x & adj[v])
+            bk(p & row, x & row)
             cur.pop()
             p ^= bv
             x |= bv

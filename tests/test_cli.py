@@ -158,3 +158,22 @@ def test_random_family_requires_seed(capsys):
     with pytest.raises(SystemExit) as info:
         main(["random-family", "-n", "4", "-k", "2", "-r", "2"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "fault, line",
+    [
+        (RecursionError("maximum recursion depth exceeded"),
+         "error: internal: RecursionError: maximum recursion depth exceeded"),
+        (MemoryError(), "error: internal: MemoryError"),
+    ],
+)
+def test_internal_fault_exit_1(capsys, monkeypatch, fault, line):
+    def fail(*args, **kwargs):
+        raise fault
+
+    monkeypatch.setattr("signedfam.cli.max_intersecting_exact", fail)
+    code, stdout, stderr = run(capsys, "search", "-n", "4", "-k", "2", "-r", "2")
+    assert code == 1
+    assert stdout == ""
+    assert stderr == line + "\n"

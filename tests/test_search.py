@@ -203,6 +203,134 @@ def test_search_families_are_canonical():
     check(max_intersecting_exact(Params(7, 3, 3)).witness)
 
 
+def all_root_exact(params):
+    """The search before fixing vertex 0: every root candidate is branched on."""
+    verts, adj = search._intersection_graph(params, 10**7)
+    best = search._greedy_clique(adj, range(len(verts)))
+    cur = []
+
+    def expand(p_mask):
+        nonlocal best
+        col_order, col_bound = [], []
+        uncoloured, colour = p_mask, 0
+        while uncoloured:
+            colour += 1
+            avail = uncoloured
+            while avail:
+                b = avail & -avail
+                v = b.bit_length() - 1
+                avail ^= b
+                avail &= ~adj[v]
+                uncoloured ^= b
+                col_order.append(v)
+                col_bound.append(colour)
+        live = p_mask
+        for i in range(len(col_order) - 1, -1, -1):
+            if len(cur) + col_bound[i] <= len(best):
+                return
+            v = col_order[i]
+            cur.append(v)
+            if live & adj[v]:
+                expand(live & adj[v])
+            elif len(cur) > len(best):
+                best = cur.copy()
+            cur.pop()
+            live ^= 1 << v
+
+    if verts:
+        expand((1 << len(verts)) - 1)
+    return len(best), tuple(verts[v] for v in sorted(best))
+
+
+# Neither search finishes (7,6,2) within millions of nodes, so it has no
+# exhausted result to compare; every other small graph is compared.
+@pytest.mark.parametrize(
+    "params", [p for p in SMALL_GRAPHS if p != Params(7, 6, 2)], ids=str
+)
+def test_exact_fixed_vertex_matches_all_root_reference(params):
+    res = max_intersecting_exact(params)
+    assert res.exhausted
+    assert (res.max_size, res.witness.members) == all_root_exact(params)
+
+
+@pytest.mark.parametrize(
+    "params, nodes",
+    [
+        (Params(6, 3, 2), 1),
+        (Params(8, 4, 2), 1),
+        (Params(7, 3, 3), 5),
+        (Params(8, 3, 3), 5),
+        (Params(9, 3, 3), 6),
+        (Params(9, 4, 2), 70),
+        (Params(10, 4, 2), 94),
+    ],
+    ids=str,
+)
+def test_exact_nodes_explored(params, nodes):
+    res = max_intersecting_exact(params)
+    assert res.exhausted
+    assert res.max_size == bound_value(params)
+    assert res.nodes_explored == nodes
+
+
+def bit_indices(mask):
+    while mask:
+        b = mask & -mask
+        yield b.bit_length() - 1
+        mask ^= b
+
+
+def generator_pivot_cliques(params, cap):
+    """Bron-Kerbosch with the full generator pivot scan, in discovery order.
+
+    Returns the first cap + 1 maximal cliques as index tuples.
+    """
+    verts, adj = search._intersection_graph(params, 10**7)
+    found, cur = [], []
+
+    def bk(p_mask, x_mask):
+        if len(found) > cap:
+            return
+        if not p_mask and not x_mask:
+            found.append(tuple(cur))
+            return
+        pivot, best = -1, -1
+        for u in bit_indices(p_mask | x_mask):
+            c = (p_mask & adj[u]).bit_count()
+            if c > best:
+                best, pivot = c, u
+        p, x = p_mask, x_mask
+        for v in bit_indices(p_mask & ~adj[pivot]):
+            cur.append(v)
+            bk(p & adj[v], x & adj[v])
+            cur.pop()
+            p ^= 1 << v
+            x |= 1 << v
+
+    if verts:
+        bk((1 << len(verts)) - 1, 0)
+    return [tuple(verts[i] for i in sorted(c)) for c in found[: cap + 1]]
+
+
+@pytest.mark.parametrize(
+    "params", [Params(4, 2, 2), Params(5, 2, 2), Params(4, 2, 3), Params(6, 2, 2)], ids=str
+)
+def test_enumerate_matches_generator_pivot_reference(params):
+    fams = enumerate_maximal_intersecting(params)
+    ref = generator_pivot_cliques(params, 10**7)
+    assert [f.members for f in fams] == sorted(ref)
+
+
+@pytest.mark.parametrize("cap", [1, 5, 17])
+def test_enumerate_cap_partial_matches_generator_pivot_reference(cap):
+    p = Params(5, 2, 2)
+    with pytest.raises(CapExceeded) as info:
+        enumerate_maximal_intersecting(p, cap=cap)
+    ref = generator_pivot_cliques(p, cap)
+    assert len(ref) == cap + 1
+    assert [f.members for f in info.value.partial] == sorted(ref[:cap])
+
+
 def test_verify_bound_10_5_2_in_one_node():
     rep = verify_bound(Params(10, 5, 2))
     assert rep.conclusive and rep.matches
