@@ -282,12 +282,14 @@ def universe(params: Params, cap: int = DEFAULT_CAP) -> SignedFamily:
     if total > cap:
         raise TooLarge(f"universe has {total} members, cap is {cap}")
     signs = range(1, params.r + 1)
-    members = tuple(
+    members = [
         tuple(zip(elems, vec))
         for elems in itertools.combinations(range(1, params.n + 1), params.k)
         for vec in itertools.product(signs, repeat=params.k)
-    )
-    return SignedFamily(params, members)
+    ]
+    # canonical and distinct by construction, but not generated in order
+    members.sort()
+    return _canonical_family(params, tuple(members))
 
 
 def star(params: Params, cap: int = DEFAULT_CAP) -> SignedFamily:
@@ -300,12 +302,14 @@ def star(params: Params, cap: int = DEFAULT_CAP) -> SignedFamily:
     if total > cap:
         raise TooLarge(f"star has {total} members, cap is {cap}")
     signs = range(1, params.r + 1)
-    members = tuple(
+    members = [
         ((1, 1),) + tuple(zip(elems, vec))
         for elems in itertools.combinations(range(2, params.n + 1), params.k - 1)
         for vec in itertools.product(signs, repeat=params.k - 1)
-    )
-    return SignedFamily(params, members)
+    ]
+    # canonical and distinct by construction, but not generated in order
+    members.sort()
+    return _canonical_family(params, tuple(members))
 
 
 def shift_signs_family(fam: SignedFamily, q: int) -> SignedFamily:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .core import (
     Params,
@@ -321,30 +322,65 @@ def verify_certificate(cert: InjectionCertificate) -> CertificateReport:
     """
     problems: list[str] = []
     p = cert.params
-    sources = [s for s, _ in cert.mapping]
-    if len(set(sources)) != len(sources):
-        problems.append("a source appears more than once in the mapping")
-    missing = cert.domain.member_set - set(sources)
-    if missing:
-        problems.append(f"domain members without an image: {sorted(missing)}")
-    extra = set(sources) - cert.domain.member_set
-    if extra:
-        problems.append(f"mapped sources outside the domain: {sorted(extra)}")
-    by_target: dict[SignedSet, list[SignedSet]] = {}
-    for s, t in cert.mapping:
-        by_target.setdefault(t, []).append(s)
-    for t, srcs in sorted(by_target.items()):
-        if len(srcs) > 1:
-            problems.append(f"target {t} is shared by sources {srcs}")
-    for s, t in cert.mapping:
-        if (1, 1) not in t:
-            problems.append(f"target {t} of source {s} misses the pair (1, 1)")
-            continue
-        try:
-            make_signed_set(t, p)
-        except Error as exc:
-            problems.append(f"target {t} of source {s} is invalid: {exc}")
+    sources = tuple(map(itemgetter(0), cert.mapping))
+    # a mapping listing exactly the domain's members in order, the shape
+    # assemble_injection emits, has no repeated, missing or extra source
+    if sources != cert.domain.members:
+        source_set = set(sources)
+        if len(source_set) != len(sources):
+            problems.append("a source appears more than once in the mapping")
+        missing = cert.domain.member_set - source_set
+        if missing:
+            problems.append(f"domain members without an image: {sorted(missing)}")
+        extra = source_set - cert.domain.member_set
+        if extra:
+            problems.append(f"mapped sources outside the domain: {sorted(extra)}")
+    targets = list(map(itemgetter(1), cert.mapping))
+    if len(set(targets)) != len(targets):
+        by_target: dict[SignedSet, list[SignedSet]] = {}
+        for s, t in cert.mapping:
+            by_target.setdefault(t, []).append(s)
+        for t, srcs in sorted(by_target.items()):
+            if len(srcs) > 1:
+                problems.append(f"target {t} is shared by sources {srcs}")
+    if not _all_targets_valid(targets, p):
+        # word the problem of each failing target, in mapping order
+        for s, t in cert.mapping:
+            if (1, 1) not in t:
+                problems.append(f"target {t} of source {s} misses the pair (1, 1)")
+                continue
+            try:
+                make_signed_set(t, p)
+            except Error as exc:
+                problems.append(f"target {t} of source {s} is invalid: {exc}")
     bound = bound_value(p)
     if len(cert.domain) > bound:
         problems.append(f"domain size {len(cert.domain)} exceeds the bound {bound}")
     return CertificateReport(not problems, len(cert.domain), bound, tuple(problems))
+
+
+def _all_targets_valid(targets: list, p: Params) -> bool:
+    """True when every target is a signed k-set led by (1, 1).
+
+    A sufficient test made of C-level passes over all targets at once:
+    each is a tuple of k pairs led by (1, 1), each distinct pair is an
+    in-range (element, sign) tuple of ints, and no target repeats an
+    element (its dict has k keys).  Every such target passes the
+    per-target check; False only means that check must run.
+    """
+    n, k, r = p.n, p.k, p.r
+    return (
+        set(map(type, targets)) <= {tuple}
+        and set(map(len, targets)) <= {k}
+        and set(map(itemgetter(0), targets)) <= {(1, 1)}
+        and all(
+            type(pr) is tuple
+            and len(pr) == 2
+            and type(pr[0]) is int
+            and type(pr[1]) is int
+            and 1 <= pr[0] <= n
+            and 1 <= pr[1] <= r
+            for pr in set(itertools.chain.from_iterable(targets))
+        )
+        and set(map(len, map(dict, targets))) <= {k}
+    )

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .core import Params, PlainFamily, SignedFamily
+from .core import Params, PlainFamily, SignedFamily, _canonical_family
 from .errors import Error, FormatError
 from .injection import InjectionCertificate
 
@@ -38,7 +38,7 @@ def signed_family_to_json(fam: SignedFamily) -> str:
         "n": fam.params.n,
         "k": fam.params.k,
         "r": fam.params.r,
-        "sets": [[[x, a] for x, a in m] for m in fam.members],
+        "sets": fam.members,
     }
     return json.dumps(obj, separators=(",", ":"))
 
@@ -62,19 +62,21 @@ def parse_signed_family(line: str, lineno: int = 1) -> SignedFamily:
         raise FormatError(lineno, str(exc)) from None
     if not isinstance(obj["sets"], list):
         raise FormatError(lineno, "sets must be an array")
+    n, r = params.n, params.r
     members = []
     seen = set()
+    # json.loads yields exact list and int objects (bool is its own type),
+    # so type checks stand in for isinstance on every pair
     for si, raw in enumerate(obj["sets"]):
-        if not isinstance(raw, list):
+        if type(raw) is not list:
             raise FormatError(lineno, f"set {si} must be an array of pairs")
         prev = 0
-        pairs = []
         for pr in raw:
             if (
-                not isinstance(pr, list)
+                type(pr) is not list
                 or len(pr) != 2
-                or not _is_int(pr[0])
-                or not _is_int(pr[1])
+                or type(pr[0]) is not int
+                or type(pr[1]) is not int
             ):
                 raise FormatError(
                     lineno, f"set {si}: pairs must be [element, sign] integer arrays"
@@ -85,29 +87,36 @@ def parse_signed_family(line: str, lineno: int = 1) -> SignedFamily:
                     lineno, f"set {si} is not strictly element-sorted at element {x}"
                 )
             prev = x
-            if not 1 <= x <= params.n:
-                raise FormatError(lineno, f"set {si}: element {x} outside [1, {params.n}]")
-            if not 1 <= a <= params.r:
-                raise FormatError(lineno, f"set {si}: sign {a} outside [1, {params.r}]")
-            pairs.append((x, a))
-        if len(pairs) != params.k:
-            raise FormatError(lineno, f"set {si} has {len(pairs)} pairs, expected {params.k}")
-        member = tuple(pairs)
+            if x > n:  # and x >= 1, as x > prev >= 0
+                raise FormatError(lineno, f"set {si}: element {x} outside [1, {n}]")
+            if not 1 <= a <= r:
+                raise FormatError(lineno, f"set {si}: sign {a} outside [1, {r}]")
+        if len(raw) != params.k:
+            raise FormatError(lineno, f"set {si} has {len(raw)} pairs, expected {params.k}")
+        member = tuple(map(tuple, raw))
         if member in seen:
             raise FormatError(lineno, f"duplicate set {list(member)}")
         seen.add(member)
         members.append(member)
-    return SignedFamily(params, tuple(members))
+    # the checks above make every member canonical and distinct, as
+    # _canonical_family requires; sort() on an in-order line is one linear scan
+    members.sort()
+    return _canonical_family(params, tuple(members))
 
 
-def parse_signed_families(lines) -> list[SignedFamily]:
+def _parse_lines(lines, parse_line) -> list:
+    """Parse one family per line; blank lines are errors, numbered from 1."""
     out = []
     for lineno, line in enumerate(lines, start=1):
         text = line.rstrip("\n")
         if not text.strip():
             raise FormatError(lineno, "blank line")
-        out.append(parse_signed_family(text, lineno))
+        out.append(parse_line(text, lineno))
     return out
+
+
+def parse_signed_families(lines) -> list[SignedFamily]:
+    return _parse_lines(lines, parse_signed_family)
 
 
 def read_signed_families(path) -> list[SignedFamily]:
@@ -121,7 +130,7 @@ def write_signed_families(path, families) -> None:
 
 
 def plain_family_to_json(fam: PlainFamily) -> str:
-    obj = {"n": fam.ground, "sets": [list(m) for m in fam.members]}
+    obj = {"n": fam.ground, "sets": fam.members}
     return json.dumps(obj, separators=(",", ":"))
 
 
@@ -152,13 +161,7 @@ def parse_plain_family(line: str, lineno: int = 1) -> PlainFamily:
 
 
 def parse_plain_families(lines) -> list[PlainFamily]:
-    out = []
-    for lineno, line in enumerate(lines, start=1):
-        text = line.rstrip("\n")
-        if not text.strip():
-            raise FormatError(lineno, "blank line")
-        out.append(parse_plain_family(text, lineno))
-    return out
+    return _parse_lines(lines, parse_plain_family)
 
 
 def read_plain_families(path) -> list[PlainFamily]:
@@ -175,11 +178,8 @@ def certificate_to_json(cert: InjectionCertificate) -> str:
     """Serialize a certificate; byte-identical for equal certificates."""
     obj = {
         "params": {"n": cert.params.n, "k": cert.params.k, "r": cert.params.r},
-        "map": [
-            {"from": [[x, a] for x, a in s], "to": [[x, a] for x, a in t]}
-            for s, t in cert.mapping
-        ],
-        "blocks": {"a0": cert.block_sizes[0], "a": list(cert.block_sizes[1:])},
+        "map": [{"from": s, "to": t} for s, t in cert.mapping],
+        "blocks": {"a0": cert.block_sizes[0], "a": cert.block_sizes[1:]},
     }
     return json.dumps(obj, separators=(",", ":"))
 

@@ -71,10 +71,19 @@ class SplitMix64:
         return self.next_u64() % bound
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates: j = below(i + 1) for i = len-1 down to 1."""
+        """In-place Fisher-Yates: j = below(i + 1) for i = len-1 down to 1.
+
+        The draws are next_u64() inlined, on a local copy of the state.
+        """
+        mask = _MASK64
+        z0 = self._state
         for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
+            z0 = (z0 + 0x9E3779B97F4A7C15) & mask
+            z = ((z0 ^ (z0 >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            j = (z ^ (z >> 31)) % (i + 1)
             items[i], items[j] = items[j], items[i]
+        self._state = z0
 
 
 @dataclass(frozen=True)

@@ -147,6 +147,24 @@ def test_universe_matches_independent_enumeration():
     assert len(oracle) == 160
 
 
+@pytest.mark.parametrize(
+    "p",
+    [Params(n, k, r) for n in range(1, 8) for k in range(1, n + 1) for r in range(1, 4)],
+    ids=str,
+)
+def test_universe_and_star_equal_validated_families(p):
+    # members come in combination-then-sign order, which is not sorted:
+    # at (3,2,2) ((1,2),(2,2)) comes before ((1,1),(3,1))
+    signs = range(1, p.r + 1)
+    members = [
+        tuple(zip(elems, vec))
+        for elems in itertools.combinations(range(1, p.n + 1), p.k)
+        for vec in itertools.product(signs, repeat=p.k)
+    ]
+    assert universe(p) == SignedFamily(p, tuple(members))
+    assert star(p) == SignedFamily(p, tuple(m for m in members if m[0] == (1, 1)))
+
+
 def test_star_smallest_case():
     assert star(Params(2, 1, 2)).members == (((1, 1),),)
 

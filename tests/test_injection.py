@@ -1,5 +1,7 @@
 """Injection pipeline: partition, strip, supports, matching, assembly."""
 
+import dataclasses
+
 import pytest
 from conftest import pf, proof_step_report, sf
 
@@ -11,6 +13,7 @@ from signedfam import (
     complements_in_tail,
     match_to_shadow,
     partition_family,
+    random_maximal_intersecting,
     sign_assign,
     signed_versions,
     star,
@@ -18,8 +21,10 @@ from signedfam import (
     universe,
     verify_certificate,
 )
+from signedfam.core import bound_value, make_signed_set
 from signedfam.errors import (
     ContainsOne,
+    Error,
     GroupOverflow,
     MissingPair,
     NoPerfectMatching,
@@ -235,3 +240,110 @@ def test_proof_steps_on_enumerated_families():
         assert all(report.values()), report
         cert = assemble_injection(fam)
         assert verify_certificate(cert).ok
+
+
+def reference_verify_certificate(cert):
+    """verify_certificate before its one-pass target check, kept as a test oracle."""
+    problems = []
+    p = cert.params
+    sources = [s for s, _ in cert.mapping]
+    if len(set(sources)) != len(sources):
+        problems.append("a source appears more than once in the mapping")
+    missing = cert.domain.member_set - set(sources)
+    if missing:
+        problems.append(f"domain members without an image: {sorted(missing)}")
+    extra = set(sources) - cert.domain.member_set
+    if extra:
+        problems.append(f"mapped sources outside the domain: {sorted(extra)}")
+    by_target = {}
+    for s, t in cert.mapping:
+        by_target.setdefault(t, []).append(s)
+    for t, srcs in sorted(by_target.items()):
+        if len(srcs) > 1:
+            problems.append(f"target {t} is shared by sources {srcs}")
+    for s, t in cert.mapping:
+        if (1, 1) not in t:
+            problems.append(f"target {t} of source {s} misses the pair (1, 1)")
+            continue
+        try:
+            make_signed_set(t, p)
+        except Error as exc:
+            problems.append(f"target {t} of source {s} is invalid: {exc}")
+    bound = bound_value(p)
+    if len(cert.domain) > bound:
+        problems.append(f"domain size {len(cert.domain)} exceeds the bound {bound}")
+    return type(verify_certificate(cert))(
+        not problems, len(cert.domain), bound, tuple(problems)
+    )
+
+
+SEEDED_CERTS = [
+    assemble_injection(random_maximal_intersecting(p, seed))
+    for p in (Params(8, 4, 2), Params(9, 3, 3), Params(9, 4, 2))
+    for seed in range(20)
+]
+
+
+def test_verify_certificate_matches_reference_on_valid():
+    for cert in SEEDED_CERTS:
+        rep = verify_certificate(cert)
+        assert rep == reference_verify_certificate(cert)
+        assert rep.ok
+
+
+def _retarget(i, new_target):
+    """Corrupt the target of mapping entry i."""
+
+    def corrupt(cert):
+        m = list(cert.mapping)
+        m[i] = (m[i][0], new_target(cert.params, m[i][1]))
+        return dataclasses.replace(cert, mapping=tuple(m))
+
+    return corrupt
+
+
+def _remap(edit):
+    return lambda cert: dataclasses.replace(cert, mapping=tuple(edit(list(cert.mapping))))
+
+
+def _extra_source(cert):
+    used = {t for _, t in cert.mapping}
+    src = next(m for m in universe(cert.params).members if m not in cert.domain)
+    # a star-sized domain leaves no free target; the extra then shares one
+    tgt = next((m for m in star(cert.params).members if m not in used), cert.mapping[0][1])
+    return dataclasses.replace(cert, mapping=cert.mapping + ((src, tgt),))
+
+
+CORRUPTIONS = {
+    "duplicate source": _remap(lambda m: m[:1] + [(m[0][0], m[1][1])] + m[2:]),
+    "missing source": _remap(lambda m: m[:3] + m[4:]),
+    "extra source": _extra_source,
+    "shared target": _remap(lambda m: m[:2] + [(m[2][0], m[0][1])] + m[3:]),
+    "target without (1, 1)": _retarget(
+        1, lambda p, t: tuple((x, 1) for x in range(2, p.k + 2))
+    ),
+    "out-of-range element": _retarget(2, lambda p, t: t[:-1] + ((p.n + 1, 1),)),
+    "element below range": _retarget(0, lambda p, t: t[:1] + ((0, 1),) + t[2:]),
+    "out-of-range sign": _retarget(3, lambda p, t: t[:-1] + ((t[-1][0], p.r + 1),)),
+    "sign zero": _retarget(-1, lambda p, t: t[:-1] + ((t[-1][0], 0),)),
+    "repeated element": _retarget(4, lambda p, t: t[:-1] + ((t[-2][0], t[-1][1]),)),
+    "wrong size": _retarget(5, lambda p, t: t[:-1]),
+    "reordered target": _retarget(6, lambda p, t: t[::-1]),
+    "domain over the bound": lambda cert: dataclasses.replace(
+        cert, domain=universe(cert.params)
+    ),
+    "several faults": lambda cert: _extra_source(
+        _retarget(1, lambda p, t: t[:-1])(
+            _remap(lambda m: m[:2] + [(m[2][0], m[0][1])] + m[4:] + [m[5]])(cert)
+        )
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CORRUPTIONS))
+def test_verify_certificate_matches_reference_on_corruptions(name):
+    for cert in SEEDED_CERTS[::4]:
+        bad = CORRUPTIONS[name](cert)
+        rep = verify_certificate(bad)
+        assert rep == reference_verify_certificate(bad)
+        assert rep.ok is (name == "reordered target"), rep.problems

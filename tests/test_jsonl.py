@@ -1,9 +1,21 @@
 """Wire format round-trips and strict rejection of invalid lines."""
 
+import json
+
 import pytest
 from conftest import pf, sf
 
-from signedfam import Params, assemble_injection, star, universe
+from signedfam import (
+    Params,
+    SignedFamily,
+    assemble_injection,
+    build_supports,
+    complements_in_tail,
+    partition_family,
+    random_maximal_intersecting,
+    star,
+    universe,
+)
 from signedfam.errors import FormatError
 from signedfam.jsonl import (
     certificate_to_json,
@@ -38,24 +50,24 @@ def test_file_round_trip(tmp_path):
     assert read_signed_families(path) == fams
 
 
-@pytest.mark.parametrize(
-    "line,fragment",
-    [
-        ("not json", "not valid JSON"),
-        ("[1,2]", "JSON object"),
-        ('{"n":4,"k":2,"r":2}', "expected keys"),
-        ('{"n":4,"k":2,"r":2,"sets":[],"x":1}', "expected keys"),
-        ('{"n":4,"k":2.0,"r":2,"sets":[]}', "integer"),
-        ('{"n":1,"k":2,"r":2,"sets":[]}', "1 <= k <= n"),
-        ('{"n":4,"k":2,"r":2,"sets":[[[2,1],[1,2]]]}', "element-sorted"),
-        ('{"n":4,"k":2,"r":2,"sets":[[[1,1],[1,2]]]}', "element-sorted"),
-        ('{"n":4,"k":2,"r":2,"sets":[[[1,1],[5,1]]]}', "outside"),
-        ('{"n":4,"k":2,"r":2,"sets":[[[1,1],[2,3]]]}', "outside"),
-        ('{"n":4,"k":2,"r":2,"sets":[[[1,1]]]}', "expected 2"),
-        ('{"n":4,"k":2,"r":2,"sets":[[[1,1],[2,1]],[[1,1],[2,1]]]}', "duplicate"),
-        ('{"n":4,"k":2,"r":2,"sets":[[[1,true],[2,1]]]}', "integer"),
-    ],
-)
+SIGNED_REJECTS = [
+    ("not json", "not valid JSON"),
+    ("[1,2]", "JSON object"),
+    ('{"n":4,"k":2,"r":2}', "expected keys"),
+    ('{"n":4,"k":2,"r":2,"sets":[],"x":1}', "expected keys"),
+    ('{"n":4,"k":2.0,"r":2,"sets":[]}', "integer"),
+    ('{"n":1,"k":2,"r":2,"sets":[]}', "1 <= k <= n"),
+    ('{"n":4,"k":2,"r":2,"sets":[[[2,1],[1,2]]]}', "element-sorted"),
+    ('{"n":4,"k":2,"r":2,"sets":[[[1,1],[1,2]]]}', "element-sorted"),
+    ('{"n":4,"k":2,"r":2,"sets":[[[1,1],[5,1]]]}', "outside"),
+    ('{"n":4,"k":2,"r":2,"sets":[[[1,1],[2,3]]]}', "outside"),
+    ('{"n":4,"k":2,"r":2,"sets":[[[1,1]]]}', "expected 2"),
+    ('{"n":4,"k":2,"r":2,"sets":[[[1,1],[2,1]],[[1,1],[2,1]]]}', "duplicate"),
+    ('{"n":4,"k":2,"r":2,"sets":[[[1,true],[2,1]]]}', "integer"),
+]
+
+
+@pytest.mark.parametrize("line,fragment", SIGNED_REJECTS)
 def test_signed_family_rejects(line, fragment):
     with pytest.raises(FormatError) as info:
         parse_signed_family(line)
@@ -70,6 +82,16 @@ def test_line_numbers_reported():
     assert info.value.line == 2
     with pytest.raises(FormatError) as info:
         parse_signed_families([good, "", good])
+    assert info.value.line == 2
+
+
+def test_plain_line_numbers_reported():
+    good = plain_family_to_json(pf(5, [[2, 3], [2, 4]]))
+    with pytest.raises(FormatError) as info:
+        parse_plain_families([good, "garbage"])
+    assert info.value.line == 2
+    with pytest.raises(FormatError) as info:
+        parse_plain_families([good, "", good])
     assert info.value.line == 2
 
 
@@ -126,3 +148,153 @@ def test_certificate_json_deterministic():
     fam = sf(4, 2, 2, [m for m in universe(Params(4, 2, 2)).members if (2, 1) in m])
     texts = {certificate_to_json(assemble_injection(fam)) for _ in range(5)}
     assert len(texts) == 1
+
+
+# Test-only copies of the codecs before they wrote the canonical tuples
+# directly and parsed in one pass; the library must match them byte for
+# byte and message for message.
+
+
+def _reference_is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def reference_signed_family_to_json(fam):
+    obj = {
+        "n": fam.params.n,
+        "k": fam.params.k,
+        "r": fam.params.r,
+        "sets": [[[x, a] for x, a in m] for m in fam.members],
+    }
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def reference_plain_family_to_json(fam):
+    obj = {"n": fam.ground, "sets": [list(m) for m in fam.members]}
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def reference_certificate_to_json(cert):
+    obj = {
+        "params": {"n": cert.params.n, "k": cert.params.k, "r": cert.params.r},
+        "map": [
+            {"from": [[x, a] for x, a in s], "to": [[x, a] for x, a in t]}
+            for s, t in cert.mapping
+        ],
+        "blocks": {"a0": cert.block_sizes[0], "a": list(cert.block_sizes[1:])},
+    }
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def reference_parse_signed_family(line, lineno=1):
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise FormatError(lineno, f"not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise FormatError(lineno, "expected a JSON object")
+    if set(obj) != {"n", "k", "r", "sets"}:
+        raise FormatError(lineno, f"expected keys n, k, r, sets; got {sorted(obj)}")
+    for key in ("n", "k", "r"):
+        if not _reference_is_int(obj[key]):
+            raise FormatError(lineno, f"{key} must be an integer")
+    try:
+        params = Params(obj["n"], obj["k"], obj["r"])
+    except ValueError as exc:
+        raise FormatError(lineno, str(exc)) from None
+    if not isinstance(obj["sets"], list):
+        raise FormatError(lineno, "sets must be an array")
+    members = []
+    seen = set()
+    for si, raw in enumerate(obj["sets"]):
+        if not isinstance(raw, list):
+            raise FormatError(lineno, f"set {si} must be an array of pairs")
+        prev = 0
+        pairs = []
+        for pr in raw:
+            if (
+                not isinstance(pr, list)
+                or len(pr) != 2
+                or not _reference_is_int(pr[0])
+                or not _reference_is_int(pr[1])
+            ):
+                raise FormatError(
+                    lineno, f"set {si}: pairs must be [element, sign] integer arrays"
+                )
+            x, a = pr
+            if x <= prev:
+                raise FormatError(
+                    lineno, f"set {si} is not strictly element-sorted at element {x}"
+                )
+            prev = x
+            if not 1 <= x <= params.n:
+                raise FormatError(lineno, f"set {si}: element {x} outside [1, {params.n}]")
+            if not 1 <= a <= params.r:
+                raise FormatError(lineno, f"set {si}: sign {a} outside [1, {params.r}]")
+            pairs.append((x, a))
+        if len(pairs) != params.k:
+            raise FormatError(lineno, f"set {si} has {len(pairs)} pairs, expected {params.k}")
+        member = tuple(pairs)
+        if member in seen:
+            raise FormatError(lineno, f"duplicate set {list(member)}")
+        seen.add(member)
+        members.append(member)
+    return SignedFamily(params, tuple(members))
+
+
+SEEDED_PARAMS = [Params(8, 4, 2), Params(9, 3, 3), Params(9, 4, 2)]
+
+
+def seeded_families():
+    return [random_maximal_intersecting(p, seed) for p in SEEDED_PARAMS for seed in range(20)]
+
+
+def test_encoders_match_reference_bytes():
+    for fam in seeded_families():
+        assert signed_family_to_json(fam) == reference_signed_family_to_json(fam)
+        supports = build_supports(partition_family(fam).free)
+        for plain in (supports, complements_in_tail(supports, fam.params.n)):
+            assert plain_family_to_json(plain) == reference_plain_family_to_json(plain)
+        cert = assemble_injection(fam)
+        assert certificate_to_json(cert) == reference_certificate_to_json(cert)
+
+
+def test_parse_matches_reference_on_seeded_lines():
+    for fam in seeded_families():
+        line = signed_family_to_json(fam)
+        back = parse_signed_family(line)
+        assert back == reference_parse_signed_family(line) == fam
+        assert type(back.members) is tuple
+        # members out of order are accepted and sorted, as before
+        obj = json.loads(line)
+        obj["sets"].reverse()
+        shuffled = json.dumps(obj)
+        assert parse_signed_family(shuffled) == reference_parse_signed_family(shuffled) == fam
+
+
+EXTRA_REJECTS = [
+    '{"n":4,"k":2,"r":2,"sets":[[[1.0,1],[2,1]]]}',
+    '{"n":4,"k":2,"r":2,"sets":[[[1,1,1],[2,1]]]}',
+    '{"n":4,"k":2,"r":2,"sets":[[1,[2,1]]]}',
+    '{"n":4,"k":2,"r":2,"sets":[[[1,1],[2,1.5]]]}',
+    '{"n":4,"k":2,"r":2,"sets":[[[0,1],[2,1]]]}',
+    '{"n":4,"k":2,"r":2,"sets":[[[-1,1],[2,1]]]}',
+    '{"n":4,"k":2,"r":2,"sets":[[[1,0],[2,1]]]}',
+    '{"n":4,"k":2,"r":2,"sets":[[[1,1],[2,1],[3,1]]]}',
+    '{"n":4,"k":2,"r":2,"sets":[[[1,1],[2,1]],[[1,1],[2,1]],[[1,1]]]}',
+    '{"n":4,"k":2,"r":2,"sets":[[[1,1],[3,1]],[[1,1],[2,1]],[[1,1],[3,1]]]}',
+    '{"n":4,"k":2,"r":2,"sets":[{"x":1}]}',
+    '{"n":4,"k":2,"r":2,"sets":{}}',
+    '{"n":true,"k":2,"r":2,"sets":[]}',
+    '{"n":4,"k":2,"r":0,"sets":[]}',
+]
+
+
+@pytest.mark.parametrize("line", [line for line, _ in SIGNED_REJECTS] + EXTRA_REJECTS)
+def test_parse_rejections_match_reference(line):
+    with pytest.raises(FormatError) as want:
+        reference_parse_signed_family(line, lineno=4)
+    with pytest.raises(FormatError) as got:
+        parse_signed_family(line, lineno=4)
+    assert str(got.value) == str(want.value)
+    assert got.value.line == want.value.line == 4

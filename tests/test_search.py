@@ -50,6 +50,21 @@ def test_splitmix64_against_independent_reimplementation():
     assert [g.next_u64() for _ in range(50)] == reference(987654321, 50)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 987654321])
+@pytest.mark.parametrize("length", [0, 1, 2, 160, 2268])
+def test_shuffle_matches_below_driven_reference(seed, length):
+    # the Fisher-Yates loop as it read before the draws were inlined
+    ref, got = SplitMix64(seed), SplitMix64(seed)
+    want = list(range(length))
+    for i in range(length - 1, 0, -1):
+        j = ref.below(i + 1)
+        want[i], want[j] = want[j], want[i]
+    items = list(range(length))
+    got.shuffle(items)
+    assert items == want
+    assert got.next_u64() == ref.next_u64()
+
+
 def test_exact_no_edges_case():
     res = max_intersecting_exact(Params(2, 1, 2))
     assert res.max_size == 1
