@@ -14,7 +14,6 @@ internal fault (recursion or memory exhausted) reported on one line.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .core import DEFAULT_CAP, Params, bound_value, star, universe
@@ -29,6 +28,7 @@ from .errors import (
 from .injection import assemble_injection
 from .jsonl import (
     certificate_to_json,
+    compact_json,
     read_signed_families,
     signed_family_to_json,
     write_signed_families,
@@ -39,10 +39,6 @@ from .search import (
     random_maximal_intersecting,
     verify_bound,
 )
-
-
-def _dump(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
 
 
 def _format_set(sset) -> str:
@@ -57,7 +53,7 @@ def _emit_family(fam, args) -> int:
     if args.out:
         write_signed_families(args.out, [fam])
         if args.json:
-            print(_dump({"size": len(fam), "path": args.out}))
+            print(compact_json({"size": len(fam), "path": args.out}))
         else:
             print(len(fam))
     elif args.json:
@@ -99,7 +95,7 @@ def _cmd_inject(args) -> int:
             fh.write(text + "\n")
         size, bound = len(cert.domain), bound_value(cert.params)
         if args.json:
-            print(_dump({"size": size, "bound": bound, "ok": True}))
+            print(compact_json({"size": size, "bound": bound, "ok": True}))
         else:
             print(f"mapped {size} sets into the star (bound {bound})")
     else:
@@ -111,7 +107,7 @@ def _cmd_search(args) -> int:
     res = max_intersecting_exact(_params(args), node_budget=args.budget, cap=args.cap)
     if args.json:
         print(
-            _dump(
+            compact_json(
                 {
                     "params": {"n": args.n, "k": args.k, "r": args.r},
                     "max_size": res.max_size,
@@ -131,7 +127,7 @@ def _cmd_verify_bound(args) -> int:
     rep = verify_bound(_params(args), node_budget=args.budget, cap=args.cap)
     if args.json:
         print(
-            _dump(
+            compact_json(
                 {
                     "params": {"n": args.n, "k": args.k, "r": args.r},
                     "max_size": rep.max_size,

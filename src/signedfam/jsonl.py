@@ -16,7 +16,8 @@ Certificate JSON:
 Readers are strict: non-canonical or invalid lines (unsorted pairs,
 duplicate sets, wrong sizes, out-of-range values, unexpected keys) are
 rejected with a FormatError carrying the 1-based line number.  Writers
-emit compact UTF-8 with LF line endings, byte-stable for a fixed input.
+emit compact UTF-8 with LF line endings, byte-stable for a fixed input,
+all through compact_json.
 """
 
 from __future__ import annotations
@@ -29,8 +30,11 @@ from .errors import Error, FormatError
 from .injection import InjectionCertificate
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+#: Compact JSON text, the bytes of json.dumps(obj, separators=(",", ":")).
+#: The cycle check is off: every object written is built fresh from
+#: tuples, ints, strings and dicts, so none can contain itself, and the
+#: check would only add an id-marker entry per container.
+compact_json = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
 def signed_family_to_json(fam: SignedFamily) -> str:
@@ -40,7 +44,7 @@ def signed_family_to_json(fam: SignedFamily) -> str:
         "r": fam.params.r,
         "sets": fam.members,
     }
-    return json.dumps(obj, separators=(",", ":"))
+    return compact_json(obj)
 
 
 def parse_signed_family(line: str, lineno: int = 1) -> SignedFamily:
@@ -53,8 +57,10 @@ def parse_signed_family(line: str, lineno: int = 1) -> SignedFamily:
         raise FormatError(lineno, "expected a JSON object")
     if set(obj) != {"n", "k", "r", "sets"}:
         raise FormatError(lineno, f"expected keys n, k, r, sets; got {sorted(obj)}")
+    # json.loads yields exact list and int objects (bool is its own type),
+    # so type checks stand in for isinstance throughout
     for key in ("n", "k", "r"):
-        if not _is_int(obj[key]):
+        if type(obj[key]) is not int:
             raise FormatError(lineno, f"{key} must be an integer")
     try:
         params = Params(obj["n"], obj["k"], obj["r"])
@@ -65,8 +71,6 @@ def parse_signed_family(line: str, lineno: int = 1) -> SignedFamily:
     n, r = params.n, params.r
     members = []
     seen = set()
-    # json.loads yields exact list and int objects (bool is its own type),
-    # so type checks stand in for isinstance on every pair
     for si, raw in enumerate(obj["sets"]):
         if type(raw) is not list:
             raise FormatError(lineno, f"set {si} must be an array of pairs")
@@ -131,7 +135,7 @@ def write_signed_families(path, families) -> None:
 
 def plain_family_to_json(fam: PlainFamily) -> str:
     obj = {"n": fam.ground, "sets": fam.members}
-    return json.dumps(obj, separators=(",", ":"))
+    return compact_json(obj)
 
 
 def parse_plain_family(line: str, lineno: int = 1) -> PlainFamily:
@@ -143,13 +147,13 @@ def parse_plain_family(line: str, lineno: int = 1) -> PlainFamily:
         raise FormatError(lineno, "expected a JSON object")
     if set(obj) != {"n", "sets"}:
         raise FormatError(lineno, f"expected keys n, sets; got {sorted(obj)}")
-    if not _is_int(obj["n"]) or obj["n"] < 1:
+    if type(obj["n"]) is not int or obj["n"] < 1:
         raise FormatError(lineno, "n must be a positive integer")
     if not isinstance(obj["sets"], list):
         raise FormatError(lineno, "sets must be an array")
     members = []
     for si, raw in enumerate(obj["sets"]):
-        if not isinstance(raw, list) or not all(_is_int(x) for x in raw):
+        if not isinstance(raw, list) or not all(type(x) is int for x in raw):
             raise FormatError(lineno, f"set {si} must be an array of integers")
         if any(raw[i] >= raw[i + 1] for i in range(len(raw) - 1)):
             raise FormatError(lineno, f"set {si} is not strictly sorted")
@@ -181,5 +185,5 @@ def certificate_to_json(cert: InjectionCertificate) -> str:
         "map": [{"from": s, "to": t} for s, t in cert.mapping],
         "blocks": {"a0": cert.block_sizes[0], "a": cert.block_sizes[1:]},
     }
-    return json.dumps(obj, separators=(",", ":"))
+    return compact_json(obj)
 

@@ -15,7 +15,9 @@ slot, minus the vertex's own bit.  On top of that graph:
   with pivoting, the pivot scan stopping at the first vertex that
   covers every candidate,
 - reproducible random maximal intersecting families from a
-  Fisher-Yates shuffle driven by SplitMix64.
+  Fisher-Yates shuffle driven by SplitMix64; draw t is a fixed mix of
+  seed + t * gamma, so a shuffle computes all its draws at once, one
+  128-bit lane per draw of a single integer.
 
 Everything is sequential and deterministic: identical inputs, budgets,
 and seeds always produce identical outputs.
@@ -23,6 +25,8 @@ and seeds always produce identical outputs.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -45,6 +49,22 @@ DEFAULT_NODE_BUDGET = 10_000_000
 MAX_GRAPH_BITS = 2**32
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+@lru_cache(maxsize=8)
+def _lane_constants(count: int) -> tuple[int, int, int]:
+    """Per-lane constants for count draws, lane t in bits 128t..128t+127.
+
+    Lane t holds (t + 1) * gamma mod 2^64, 1 and 2^64 - 1 in the three
+    integers.  One entry per shuffle length; about 16 * count bytes each.
+    """
+    steps = b"".join(
+        ((t * _GAMMA) & _MASK64).to_bytes(16, "little") for t in range(1, count + 1)
+    )
+    ones = (1).to_bytes(16, "little") * count
+    low = _MASK64.to_bytes(16, "little") * count
+    return tuple(int.from_bytes(b, "little") for b in (steps, ones, low))
 
 
 class SplitMix64:
@@ -60,7 +80,7 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        self._state = (self._state + _GAMMA) & _MASK64
         z = self._state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -73,17 +93,29 @@ class SplitMix64:
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates: j = below(i + 1) for i = len-1 down to 1.
 
-        The draws are next_u64() inlined, on a local copy of the state.
+        The len-1 draws are computed together: draw t, the mix of
+        state + t * gamma, lives in 128-bit lane t-1 of one integer.
+        Each xor-shift is masked back to the low 64 bits of every lane
+        before its multiply, so no bits cross lanes and each 64 x 64-bit
+        product fits its lane.  Items, swaps and the final state are
+        those of len-1 calls to below().
         """
-        mask = _MASK64
-        z0 = self._state
-        for i in range(len(items) - 1, 0, -1):
-            z0 = (z0 + 0x9E3779B97F4A7C15) & mask
-            z = ((z0 ^ (z0 >> 30)) * 0xBF58476D1CE4E5B9) & mask
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-            j = (z ^ (z >> 31)) % (i + 1)
+        count = len(items) - 1
+        if count < 1:
+            return
+        steps, ones, low = _lane_constants(count)
+        state = self._state
+        z = (steps + ones * state) & low
+        z = (((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9) & low
+        z = (((z ^ (z >> 27)) & low) * 0x94D049BB133111EB) & low
+        z ^= z >> 31  # bits shifted in from lane t+1 land above lane t's low word
+        words = array("Q", z.to_bytes(16 * count, "little"))
+        if sys.byteorder == "big":
+            words.byteswap()
+        for i, d in zip(range(count, 0, -1), words[::2]):
+            j = d % (i + 1)
             items[i], items[j] = items[j], items[i]
-        self._state = z0
+        self._state = (state + count * _GAMMA) & _MASK64
 
 
 @dataclass(frozen=True)

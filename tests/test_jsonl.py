@@ -120,6 +120,23 @@ def test_plain_family_rejects(line, fragment):
     assert info.value.line == 3
 
 
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ('{"n":true,"sets":[[2,3]]}', "n must be a positive integer"),
+        ('{"n":5,"sets":[[2,true]]}', "set 0 must be an array of integers"),
+        ('{"n":5,"sets":[[2,3],[2.0,4]]}', "set 1 must be an array of integers"),
+    ],
+)
+def test_plain_family_rejects_non_integers(line, message):
+    # bools and floats are not integers; text and line as the reader always gave
+    good = plain_family_to_json(pf(5, [[2, 3], [2, 4]]))
+    with pytest.raises(FormatError) as info:
+        parse_plain_families([good, good, line])
+    assert str(info.value) == f"line 3: {message}"
+    assert info.value.line == 3
+
+
 def test_plain_families_multi_line():
     fams = [pf(5, [[2, 3], [2, 4]]), pf(4, [[1], [2]])]
     lines = [plain_family_to_json(f) for f in fams]

@@ -50,19 +50,50 @@ def test_splitmix64_against_independent_reimplementation():
     assert [g.next_u64() for _ in range(50)] == reference(987654321, 50)
 
 
+def reference_shuffle(gen, items):
+    """Fisher-Yates with one below() call per swap, the documented sequence."""
+    for i in range(len(items) - 1, 0, -1):
+        j = gen.below(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 987654321])
-@pytest.mark.parametrize("length", [0, 1, 2, 160, 2268])
+@pytest.mark.parametrize("length", [0, 1, 2, 3, 160, 1120, 2016, 2268])
 def test_shuffle_matches_below_driven_reference(seed, length):
-    # the Fisher-Yates loop as it read before the draws were inlined
+    # 1120, 2016 and 2268 are the universes of (8,4,2), (9,4,2) and (9,3,3)
     ref, got = SplitMix64(seed), SplitMix64(seed)
     want = list(range(length))
-    for i in range(length - 1, 0, -1):
-        j = ref.below(i + 1)
-        want[i], want[j] = want[j], want[i]
+    reference_shuffle(ref, want)
     items = list(range(length))
     got.shuffle(items)
     assert items == want
     assert got.next_u64() == ref.next_u64()
+
+
+def test_consecutive_shuffles_carry_state():
+    # lengths repeat and change, so the state must carry across shuffles
+    # whether or not the per-length constants were already built
+    search._lane_constants.cache_clear()
+    ref, got = SplitMix64(2**64 - 3), SplitMix64(2**64 - 3)
+    for length in (2268, 5, 2268, 1120, 0, 5, 1, 777, 1120):
+        want = list(range(length))
+        reference_shuffle(ref, want)
+        items = list(range(length))
+        got.shuffle(items)
+        assert items == want
+        assert got._state == ref._state
+    assert got.next_u64() == ref.next_u64()
+    info = search._lane_constants.cache_info()
+    assert (info.hits, info.misses) == (3, 4)
+
+
+def test_shuffle_moves_items_of_any_type():
+    items = [(x, "s" * x) for x in range(40)]
+    want = list(items)
+    reference_shuffle(SplitMix64(11), want)
+    SplitMix64(11).shuffle(items)
+    assert items == want
+    assert sorted(items) == [(x, "s" * x) for x in range(40)]
 
 
 def test_exact_no_edges_case():
