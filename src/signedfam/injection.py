@@ -136,22 +136,18 @@ def signed_versions(shadow_fam: PlainFamily, r: int) -> SignedFamily:
     return SignedFamily(params, members)
 
 
-@dataclass
-class MatchingResult:
-    """Injective choice of one of its own subsets for each member."""
-
-    assignment: dict[PlainSet, PlainSet]
-
-
-def match_to_shadow(tails: PlainFamily) -> MatchingResult:
+def match_to_shadow(tails: PlainFamily) -> dict[PlainSet, PlainSet]:
     """Match every member injectively to one of its own (k-1)-subsets.
 
     k is recovered from the family shape: members have size
     ground - 1 - k.  Augmenting-path search over the membership graph
-    between the family and its (k-1)-shadow, with each member's
-    neighbours held as a bitmask over shadow indices and the
-    depth-first search kept on an explicit stack, so no recursion limit
-    applies however long a path grows.  For families that arise
+    between the family and its (k-1)-shadow.  Each member's neighbours
+    are a bitmask over shadow indices, built from per-element masks:
+    holds[x] marks the shadow members containing x, and a shadow member
+    lies inside a member exactly when it avoids every element outside
+    it.  The depth-first search runs on an explicit stack and strikes
+    each shadow vertex it takes from an ``unseen`` mask, so no recursion
+    limit applies however long a path grows.  For families that arise
     from an intersecting input with 2k <= n, every subfamily inherits
     the pairwise intersection floor n - 2k, the intersection-shadow
     inequality then gives Hall's condition, and the matching always
@@ -159,7 +155,7 @@ def match_to_shadow(tails: PlainFamily) -> MatchingResult:
     surfaced as NoPerfectMatching, never swallowed.
     """
     if not tails.members:
-        return MatchingResult({})
+        return {}
     msize = tails.size
     k = tails.ground - 1 - msize
     if k < 1:
@@ -167,53 +163,61 @@ def match_to_shadow(tails: PlainFamily) -> MatchingResult:
             f"member size {msize} leaves no valid set size for ground {tails.ground}"
         )
     sh = shadow_to(tails, k - 1)
-    right_index = {m: i for i, m in enumerate(sh.members)}
+    holds: dict[int, int] = {}
+    for i, sub in enumerate(sh.members):
+        bit = 1 << i
+        for x in sub:
+            holds[x] = holds.get(x, 0) | bit
+    everything = (1 << len(sh.members)) - 1
     rows = []
     for m in tails.members:
-        row = 0
-        for sub in itertools.combinations(m, k - 1):
-            row |= 1 << right_index[sub]
-        rows.append(row)
+        outside = 0
+        for x, mask in holds.items():
+            if x not in m:
+                outside |= mask
+        rows.append(everything & ~outside)
     match_left = [-1] * len(rows)
     match_right = [-1] * len(sh.members)
     for u in range(len(rows)):
         # Kuhn's search from u.  path[i] is the shadow vertex taken from
-        # stack[i].  Members are sorted, so combinations() yields subsets
-        # in increasing shadow index and the lowest unseen bit of a row
-        # is the next neighbour in combinations() order.  Certificates
-        # depend on that order: the search must pick the same matching
-        # as recursive Kuhn (the reference in tests/test_matching.py).
-        seen = 0
+        # stack[i]; row is the neighbour mask of the top of the stack.
+        # Members are sorted, so shadow indices follow combinations()
+        # order within a row and the lowest unseen bit of a row is its
+        # next neighbour in that order.  Certificates depend on that
+        # order: the search must pick the same matching as recursive
+        # Kuhn (the reference in tests/test_matching.py).
+        unseen = everything
         stack = [u]
         path: list[int] = []
-        while stack:
-            free = rows[stack[-1]] & ~seen
-            if not free:
+        row = rows[u]
+        while True:
+            free = row & unseen
+            if free:
+                bit = free & -free
+                unseen ^= bit
+                v = bit.bit_length() - 1
+                path.append(v)
+                w = match_right[v]
+                if w < 0:
+                    for x, y in zip(stack, path):
+                        match_left[x] = y
+                        match_right[y] = x
+                    break
+                stack.append(w)
+                row = rows[w]
+            else:
                 stack.pop()
-                if path:
-                    path.pop()
-                continue
-            bit = free & -free
-            seen |= bit
-            v = bit.bit_length() - 1
-            path.append(v)
-            w = match_right[v]
-            if w < 0:
-                for x, y in zip(stack, path):
-                    match_left[x] = y
-                    match_right[y] = x
-                break
-            stack.append(w)
-        else:
-            raise NoPerfectMatching(
-                f"no injective shadow assignment covers {tails.members[u]}"
-            )
-    assignment = {m: sh.members[v] for m, v in zip(tails.members, match_left)}
-    return MatchingResult(assignment)
+                if not stack:
+                    raise NoPerfectMatching(
+                        f"no injective shadow assignment covers {tails.members[u]}"
+                    )
+                path.pop()
+                row = rows[stack[-1]]
+    return {m: sh.members[v] for m, v in zip(tails.members, match_left)}
 
 
 def sign_assign(
-    free: SignedFamily, matching: MatchingResult
+    free: SignedFamily, matching: dict[PlainSet, PlainSet]
 ) -> dict[SignedSet, SignedSet]:
     """Injectively re-house the free class on matched shadow supports.
 
@@ -239,7 +243,7 @@ def sign_assign(
         hidden = set(sup)
         tail_complement = tuple(x for x in range(2, p.n + 1) if x not in hidden)
         try:
-            target = matching.assignment[tail_complement]
+            target = matching[tail_complement]
         except KeyError:
             raise NoPerfectMatching(
                 f"matching does not cover the tail complement {tail_complement}"

@@ -6,7 +6,6 @@ import pytest
 from conftest import pf, proof_step_report, sf
 
 from signedfam import (
-    MatchingResult,
     Params,
     assemble_injection,
     build_supports,
@@ -101,22 +100,21 @@ def test_signed_versions():
 
 
 def test_match_identity_at_equal_size():
-    res = match_to_shadow(pf(4, [[3], [4]]))
-    assert res.assignment == {(3,): (3,), (4,): (4,)}
+    assert match_to_shadow(pf(4, [[3], [4]])) == {(3,): (3,), (4,): (4,)}
 
 
 def test_match_degenerate_empty_member():
-    assert match_to_shadow(pf(2, [[]])).assignment == {(): ()}
-    assert match_to_shadow(pf(5, [])).assignment == {}
+    assert match_to_shadow(pf(2, [[]])) == {(): ()}
+    assert match_to_shadow(pf(5, [])) == {}
 
 
 def test_match_into_strict_shadow():
     # ground 5, member size 2, so targets are singletons
     tails = pf(5, [[2, 3], [2, 4], [3, 4]])
-    res = match_to_shadow(tails)
-    images = list(res.assignment.values())
+    assignment = match_to_shadow(tails)
+    images = list(assignment.values())
     assert len(set(images)) == len(tails)
-    for src, dst in res.assignment.items():
+    for src, dst in assignment.items():
         assert set(dst) <= set(src)
         assert len(dst) == 1
 
@@ -124,13 +122,14 @@ def test_match_into_strict_shadow():
 def test_match_reports_infeasibility():
     # six 2-sets over a 4-element pool cannot inject into 4 singletons
     bad = pf(5, [[2, 3], [2, 4], [2, 5], [3, 4], [3, 5], [4, 5]])
-    with pytest.raises(NoPerfectMatching):
+    with pytest.raises(NoPerfectMatching) as exc:
         match_to_shadow(bad)
+    assert str(exc.value) == "no injective shadow assignment covers (3, 5)"
 
 
 def test_sign_assign_hand_traced():
     free = sf(4, 2, 2, [[(2, 1), (3, 1)], [(2, 1), (3, 2)]])
-    sigma = MatchingResult({(4,): (4,)})
+    sigma = {(4,): (4,)}
     out = sign_assign(free, sigma)
     assert out == {
         ((2, 1), (3, 1)): ((4, 1),),
@@ -139,21 +138,21 @@ def test_sign_assign_hand_traced():
 
 
 def test_sign_assign_empty():
-    assert sign_assign(sf(4, 2, 2, []), MatchingResult({})) == {}
+    assert sign_assign(sf(4, 2, 2, []), {}) == {}
 
 
 def test_sign_assign_reports_uncovered_support_as_matching_fault():
     # supports (2,3) and (2,4) have tail complements (4,) and (3,); only one is matched
     free = sf(4, 2, 2, [[(2, 1), (3, 1)], [(2, 1), (4, 1)]])
     with pytest.raises(NoPerfectMatching):
-        sign_assign(free, MatchingResult({(4,): (4,)}))
+        sign_assign(free, {(4,): (4,)})
 
 
 def test_sign_assign_group_overflow():
     # three members on one support cannot pairwise intersect when r=2, k=2
     free = sf(4, 2, 2, [[(2, 1), (3, 1)], [(2, 1), (3, 2)], [(2, 2), (3, 1)]])
     with pytest.raises(GroupOverflow):
-        sign_assign(free, MatchingResult({(4,): (4,)}))
+        sign_assign(free, {(4,): (4,)})
 
 
 def test_assemble_star_is_fixed_point():

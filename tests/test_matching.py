@@ -1,12 +1,14 @@
 """match_to_shadow against a recursive Kuhn reference, and deep augmenting paths."""
 
 import itertools
+import random
 
 import pytest
 from conftest import pf
 
 from signedfam import (
     Params,
+    PlainFamily,
     SignedFamily,
     build_supports,
     complements_in_tail,
@@ -15,12 +17,15 @@ from signedfam import (
     random_maximal_intersecting,
     shadow_to,
 )
+from signedfam.errors import NoPerfectMatching
 
 
 def recursive_kuhn(tails):
     """Recursive augmenting-path matching: neighbours in combinations() order.
 
-    Its recursion depth is the augmenting path length, so keep inputs
+    Rows are looked up subset by subset, with no masks.  Raises
+    NoPerfectMatching naming the first member left unmatched.  Its
+    recursion depth is the augmenting path length, so keep inputs
     small: at (16,5,2) the path length nears the interpreter's limit.
     """
     if not tails.members:
@@ -48,7 +53,10 @@ def recursive_kuhn(tails):
         return False
 
     for u in range(len(tails.members)):
-        assert augment(u, set())
+        if not augment(u, set()):
+            raise NoPerfectMatching(
+                f"no injective shadow assignment covers {tails.members[u]}"
+            )
     return {tails.members[u]: sh.members[v] for u, v in match_left.items()}
 
 
@@ -71,7 +79,7 @@ def contains_2_1_avoids_1(p):
 def test_matching_equals_recursive_reference_on_random_families(n, k, r):
     for seed in range(8):
         tails = free_tails(random_maximal_intersecting(Params(n, k, r), seed))
-        got = match_to_shadow(tails).assignment
+        got = match_to_shadow(tails)
         want = recursive_kuhn(tails)
         assert list(got.items()) == list(want.items())
 
@@ -79,7 +87,7 @@ def test_matching_equals_recursive_reference_on_random_families(n, k, r):
 def test_matching_equals_recursive_reference_on_pinned_family():
     tails = free_tails(contains_2_1_avoids_1(Params(12, 4, 3)))
     assert len(tails) == 120
-    got = match_to_shadow(tails).assignment
+    got = match_to_shadow(tails)
     assert list(got.items()) == list(recursive_kuhn(tails).items())
 
 
@@ -87,8 +95,75 @@ def test_matching_has_no_recursion_limit():
     # The tails of the (17,5,2) pinned family; the recursive search
     # needs augmenting paths deeper than the default recursion limit.
     tails = pf(17, itertools.combinations(range(3, 18), 11))
-    assignment = match_to_shadow(tails).assignment
+    assignment = match_to_shadow(tails)
     assert list(assignment) == list(tails.members)
     assert len(set(assignment.values())) == len(tails) == 1365
     for src, dst in assignment.items():
         assert len(dst) == 4 and set(dst) <= set(src)
+
+
+def outcome(match, tails):
+    """The matching as a list of pairs, or the text of NoPerfectMatching."""
+    try:
+        return list(match(tails).items())
+    except NoPerfectMatching as exc:
+        return str(exc)
+
+
+def random_uniform(rng, ground, size, pool):
+    """A random nonempty family of size-subsets of the elements in pool."""
+    subsets = list(itertools.combinations(pool, size))
+    count = rng.randint(1, len(subsets))
+    return PlainFamily(ground, tuple(rng.sample(subsets, count)))
+
+
+def test_matching_equals_recursive_reference_on_random_plain_families():
+    rng = random.Random(20190)
+    failures = matchings = 0
+    for _ in range(300):
+        ground = rng.randint(2, 9)
+        # members of size m give k = ground - 1 - m >= 1 and a (k-1)-shadow
+        # no larger than m, from s = m (the family itself) down to s = 0
+        size = rng.randint((ground - 1) // 2, ground - 2)
+        # leave some elements of the ground unused now and then
+        pool = sorted(rng.sample(range(1, ground + 1), rng.randint(size, ground)))
+        tails = random_uniform(rng, ground, size, pool)
+        want = outcome(recursive_kuhn, tails)
+        assert outcome(match_to_shadow, tails) == want
+        if isinstance(want, str):
+            failures += 1
+        else:
+            matchings += 1
+    assert failures > 20 and matchings > 20
+
+
+@pytest.mark.parametrize(
+    "tails",
+    [
+        # s = m: the shadow is the family, each member matches itself
+        pf(6, [[1, 2], [2, 5], [3, 4]]),
+        pf(8, [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4], [5, 6, 7]]),
+        # the 0-shadow {()}: one member matches (), two cannot
+        pf(5, [[1, 3, 5]]),
+        pf(5, [[1, 3, 5], [2, 3, 4]]),
+        # ground elements 1, 7, 8 and 9 appear in no member
+        pf(9, [[2, 3, 4, 5], [2, 3, 4, 6], [3, 4, 5, 6]]),
+        pf(9, [list(m) for m in itertools.combinations(range(2, 7), 4)]),
+        pf(9, [list(m) for m in itertools.combinations(range(2, 8), 4)]),
+    ],
+)
+def test_matching_equals_recursive_reference_on_edge_cases(tails):
+    assert outcome(match_to_shadow, tails) == outcome(recursive_kuhn, tails)
+
+
+def test_edge_case_outcomes():
+    assert match_to_shadow(pf(6, [[1, 2], [2, 5]])) == {(1, 2): (1, 2), (2, 5): (2, 5)}
+    assert match_to_shadow(pf(5, [[1, 3, 5]])) == {(1, 3, 5): ()}
+    with pytest.raises(NoPerfectMatching) as exc:
+        match_to_shadow(pf(5, [[1, 3, 5], [2, 3, 4]]))
+    assert str(exc.value) == "no injective shadow assignment covers (2, 3, 4)"
+    # 15 four-subsets of {2..7} and their 20 three-subsets inside a ground of 9
+    tails = pf(9, [list(m) for m in itertools.combinations(range(2, 8), 4)])
+    assignment = match_to_shadow(tails)
+    assert len(set(assignment.values())) == 15
+    assert all(set(dst) <= set(src) for src, dst in assignment.items())
