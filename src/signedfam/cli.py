@@ -3,9 +3,11 @@
 Subcommands: universe, star, inject, search, verify-bound,
 random-family.  Families travel as JSONL (one family per line); with
 --json stdout carries machine-readable JSON, otherwise human text.
+--cap bounds the member count of universe and star; search,
+verify-bound and random-family are bounded by the graph size limit alone.
 
-Exit codes: 0 success, 2 invalid parameters or parse errors, 3 cap
-exceeded or intersection graph too large, 4 input family not
+Exit codes: 0 success, 2 invalid parameters or parse errors, 3 over
+--cap or intersection graph too large, 4 input family not
 intersecting, 5 parameters outside the constructed range (r < 2 or
 2k > n), 1 anything else: a certificate that fails verification, or an
 internal fault (recursion or memory exhausted) reported on one line.
@@ -73,8 +75,7 @@ def _cmd_star(args) -> int:
 
 
 def _cmd_random_family(args) -> int:
-    fam = random_maximal_intersecting(_params(args), args.seed, cap=args.cap)
-    return _emit_family(fam, args)
+    return _emit_family(random_maximal_intersecting(_params(args), args.seed), args)
 
 
 def _cmd_inject(args) -> int:
@@ -104,7 +105,7 @@ def _cmd_inject(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    res = max_intersecting_exact(_params(args), node_budget=args.budget, cap=args.cap)
+    res = max_intersecting_exact(_params(args), node_budget=args.budget)
     if args.json:
         print(
             compact_json(
@@ -113,7 +114,7 @@ def _cmd_search(args) -> int:
                     "max_size": res.max_size,
                     "nodes_explored": res.nodes_explored,
                     "exhausted": res.exhausted,
-                    "witness": [[[x, a] for x, a in m] for m in res.witness.members],
+                    "witness": res.witness.members,
                 }
             )
         )
@@ -124,7 +125,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_verify_bound(args) -> int:
-    rep = verify_bound(_params(args), node_budget=args.budget, cap=args.cap)
+    rep = verify_bound(_params(args), node_budget=args.budget)
     if args.json:
         print(
             compact_json(
@@ -162,45 +163,43 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("-k", type=int, required=True, help="set size")
         sp.add_argument("-r", type=int, required=True, help="number of signs")
 
-    def add_common(sp):
-        sp.add_argument("--cap", type=int, default=DEFAULT_CAP, help="family member cap")
+    def add_json(sp):
         sp.add_argument("--json", action="store_true", help="machine-readable stdout")
 
-    sp = sub.add_parser("universe", help="write all signed k-sets")
-    add_params(sp)
-    sp.add_argument("-o", "--out", help="output JSONL path")
-    add_common(sp)
-    sp.set_defaults(func=_cmd_universe)
-
-    sp = sub.add_parser("star", help="write all signed k-sets containing (1,1)")
-    add_params(sp)
-    sp.add_argument("-o", "--out", help="output JSONL path")
-    add_common(sp)
-    sp.set_defaults(func=_cmd_star)
+    for name, func, text in (
+        ("universe", _cmd_universe, "write all signed k-sets"),
+        ("star", _cmd_star, "write all signed k-sets containing (1,1)"),
+    ):
+        sp = sub.add_parser(name, help=text)
+        add_params(sp)
+        sp.add_argument("-o", "--out", help="output JSONL path")
+        sp.add_argument("--cap", type=int, default=DEFAULT_CAP, help="family member cap")
+        add_json(sp)
+        sp.set_defaults(func=func)
 
     sp = sub.add_parser("inject", help="map a family file into the star")
     sp.add_argument("family", help="input family JSONL (exactly one line)")
     sp.add_argument("-o", "--out", help="output certificate JSON path")
-    sp.add_argument("--json", action="store_true", help="machine-readable stdout")
+    add_json(sp)
     sp.set_defaults(func=_cmd_inject)
 
     sp = sub.add_parser("search", help="exact maximum intersecting family size")
     add_params(sp)
     sp.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help="search node budget")
-    add_common(sp)
+    add_json(sp)
     sp.set_defaults(func=_cmd_search)
 
     sp = sub.add_parser("verify-bound", help="compare exact search against the formula")
     add_params(sp)
     sp.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help="search node budget")
-    add_common(sp)
+    add_json(sp)
     sp.set_defaults(func=_cmd_verify_bound)
 
     sp = sub.add_parser("random-family", help="seeded random maximal intersecting family")
     add_params(sp)
     sp.add_argument("--seed", type=int, required=True, help="64-bit seed (mandatory)")
     sp.add_argument("-o", "--out", help="output JSONL path")
-    add_common(sp)
+    add_json(sp)
     sp.set_defaults(func=_cmd_random_family)
 
     return parser

@@ -235,9 +235,9 @@ class PlainFamily:
         return frozenset(self.members)
 
 
-def _slot_masks(members) -> dict[Pair, int]:
-    """For each (element, sign) slot, the bitmask of member indices holding it."""
-    slots: dict[Pair, int] = {}
+def _slot_masks(members) -> dict:
+    """Per slot (a signed pair, or a plain element), the bitmask of members holding it."""
+    slots: dict = {}
     for i, m in enumerate(members):
         bit = 1 << i
         for p in m:
@@ -245,27 +245,33 @@ def _slot_masks(members) -> dict[Pair, int]:
     return slots
 
 
+def _cover_rows(members):
+    """Yield, per member, the OR of its slots' masks: the members it meets.
+
+    Bit j of member i's row is set iff members i and j share a slot, so
+    a row covers member i itself unless i is empty.  O(|F| * k) big-int
+    ORs in place of O(|F|^2) pair tests.
+    """
+    slots = _slot_masks(members)
+    for m in members:
+        row = 0
+        for p in m:
+            row |= slots[p]
+        yield row
+
+
 def is_intersecting(fam: SignedFamily) -> bool:
     """True when every two members share a signed pair (vacuous below 2).
 
-    Each (element, sign) slot gets a bitmask of the members holding it.
-    A member meets every member, itself included, iff the OR of its
-    slots' masks covers the whole family: O(|F| * k) big-int ORs in
-    place of O(|F|^2) pair tests.  The shortcut below 2 members keeps a
-    lone empty member vacuously intersecting.
+    A member meets every member, itself included, iff its cover row is
+    full; the scan stops at the first row that is not.  The shortcut
+    below 2 members keeps a lone empty member vacuously intersecting.
     """
     members = fam.members
     if len(members) < 2:
         return True
-    slots = _slot_masks(members)
     full = (1 << len(members)) - 1
-    for m in members:
-        cover = 0
-        for p in m:
-            cover |= slots[p]
-        if cover != full:
-            return False
-    return True
+    return all(row == full for row in _cover_rows(members))
 
 
 def bound_value(params: Params) -> int:

@@ -31,6 +31,7 @@ from .core import (
     SignedFamily,
     SignedSet,
     _canonical_family,
+    _slot_masks,
     bound_value,
     is_intersecting,
     make_signed_set,
@@ -163,11 +164,7 @@ def match_to_shadow(tails: PlainFamily) -> dict[PlainSet, PlainSet]:
             f"member size {msize} leaves no valid set size for ground {tails.ground}"
         )
     sh = shadow_to(tails, k - 1)
-    holds: dict[int, int] = {}
-    for i, sub in enumerate(sh.members):
-        bit = 1 << i
-        for x in sub:
-            holds[x] = holds.get(x, 0) | bit
+    holds = _slot_masks(sh.members)
     everything = (1 << len(sh.members)) - 1
     rows = []
     for m in tails.members:
@@ -297,12 +294,13 @@ def assemble_injection(fam: SignedFamily) -> InjectionCertificate:
         pairs.append((m, m))
     for i in range(2, p.r + 1):
         for m in part.anchored[i - 1].members:
-            shifted = shift_signs(tuple(q for q in m if q != (1, i)), i - 1, p.r)
-            pairs.append((m, tuple(sorted(shifted + ((1, 1),)))))
+            # canonical m leads with (1, i); the shifted tail keeps its order
+            pairs.append((m, ((1, 1),) + shift_signs(m[1:], i - 1, p.r)))
     tails = complements_in_tail(build_supports(part.free), p.n)
     matching = match_to_shadow(tails)
     for m, housed in sign_assign(part.free, matching).items():
-        pairs.append((m, tuple(sorted(housed + ((1, 1),)))))
+        # housed is sorted over elements >= 2, so (1, 1) goes first
+        pairs.append((m, ((1, 1),) + housed))
     pairs.sort()
     cert = InjectionCertificate(
         params=p,

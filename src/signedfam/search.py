@@ -2,9 +2,10 @@
 
 Vertices are the signed k-sets of the universe in canonical order;
 edges join intersecting pairs.  Adjacency lives in bitmask rows, one
-arbitrary-precision integer per vertex: the OR of the vertex's k
-(element, sign) slot masks, each the set of vertices holding that
-slot, minus the vertex's own bit.  On top of that graph:
+arbitrary-precision integer per vertex: its cover row from
+core._cover_rows (the OR of its k (element, sign) slot masks) minus
+its own bit.  The graph is cached per Params, and MAX_GRAPH_BITS is
+its only size limit.  On top of that graph:
 
 - exact maximum intersecting family size by branch-and-bound maximum
   clique with greedy-colouring upper bounds; the graph is
@@ -36,7 +37,7 @@ from .core import (
     Params,
     SignedFamily,
     _canonical_family,
-    _slot_masks,
+    _cover_rows,
     bound_value,
     universe,
 )
@@ -147,24 +148,19 @@ class BoundReport:
 
 
 @lru_cache(maxsize=32)
-def _intersection_graph(params: Params, cap: int):
-    """Vertices (canonical order) and bitmask adjacency rows, cached.
+def _intersection_graph(params: Params):
+    """Vertices (canonical order) and bitmask adjacency rows, cached per params.
 
-    O(V * k) big-int ORs.  Raises TooLarge, before the universe is
-    built, when the V^2 row bits would exceed MAX_GRAPH_BITS.
+    Each row is the vertex's cover row minus its own bit.  Raises
+    TooLarge, before the universe is built, when the V^2 row bits would
+    exceed MAX_GRAPH_BITS, the graph's only size limit.
     """
     nv = params.r ** params.k * comb(params.n, params.k)
     if nv * nv > MAX_GRAPH_BITS:
         raise TooLarge(f"graph has {nv}^2 adjacency bits, limit is {MAX_GRAPH_BITS}")
-    verts = universe(params, cap).members
-    slots = _slot_masks(verts)
-    adj = []
-    for i, v in enumerate(verts):
-        row = 0
-        for p in v:
-            row |= slots[p]
-        adj.append(row ^ (1 << i))  # row holds v's own bit; drop it
-    return verts, tuple(adj)
+    verts = universe(params).members
+    adj = tuple(row ^ (1 << i) for i, row in enumerate(_cover_rows(verts)))
+    return verts, adj
 
 
 def _greedy_clique(adj, order) -> list[int]:
@@ -179,9 +175,7 @@ def _greedy_clique(adj, order) -> list[int]:
 
 
 def max_intersecting_exact(
-    params: Params,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    cap: int = DEFAULT_CAP,
+    params: Params, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> SearchResult:
     """Exact maximum intersecting family size by branch-and-bound.
 
@@ -196,7 +190,7 @@ def max_intersecting_exact(
     expansions; when the budget runs out the best clique so far is
     returned with exhausted = False.
     """
-    verts, adj = _intersection_graph(params, cap)
+    verts, adj = _intersection_graph(params)
     nv = len(verts)
     best_clique = _greedy_clique(adj, range(nv))
     best_size = len(best_clique)
@@ -270,7 +264,7 @@ def enumerate_maximal_intersecting(
     families found, in canonical order, when there are more than cap
     maximal families.
     """
-    verts, adj = _intersection_graph(params, DEFAULT_CAP)
+    verts, adj = _intersection_graph(params)
     nv = len(verts)
     found: list[tuple[int, ...]] = []
     cur: list[int] = []
@@ -324,16 +318,14 @@ def enumerate_maximal_intersecting(
     return to_families(found)
 
 
-def random_maximal_intersecting(
-    params: Params, seed: int, cap: int = DEFAULT_CAP
-) -> SignedFamily:
+def random_maximal_intersecting(params: Params, seed: int) -> SignedFamily:
     """Seeded random maximal intersecting family; a pure function of its inputs.
 
     The universe is shuffled by a SplitMix64-driven Fisher-Yates pass,
     then scanned greedily: a set is kept whenever it intersects every
     set kept so far.  The result is maximal by construction.
     """
-    verts, adj = _intersection_graph(params, cap)
+    verts, adj = _intersection_graph(params)
     idx = list(range(len(verts)))
     SplitMix64(seed).shuffle(idx)
     chosen = sorted(_greedy_clique(adj, idx))
@@ -341,9 +333,7 @@ def random_maximal_intersecting(
 
 
 def verify_bound(
-    params: Params,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    cap: int = DEFAULT_CAP,
+    params: Params, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> BoundReport:
     """Run the exact search and compare it with the formula bound.
 
@@ -352,7 +342,7 @@ def verify_bound(
     injection refuses r = 1.  An exhausted budget makes the report
     inconclusive rather than wrong.
     """
-    res = max_intersecting_exact(params, node_budget=node_budget, cap=cap)
+    res = max_intersecting_exact(params, node_budget=node_budget)
     bound = bound_value(params)
     return BoundReport(
         params=params,

@@ -4,8 +4,15 @@ import json
 
 import pytest
 
-from signedfam import Params, star
+from signedfam import (
+    CertificateReport,
+    Params,
+    assemble_injection,
+    bound_value,
+    star,
+)
 from signedfam.cli import main
+from signedfam.errors import VerificationFailed
 from signedfam.jsonl import read_signed_families, signed_family_to_json
 
 
@@ -177,3 +184,54 @@ def test_internal_fault_exit_1(capsys, monkeypatch, fault, line):
     assert code == 1
     assert stdout == ""
     assert stderr == line + "\n"
+
+
+def plant_failing_report(monkeypatch, problem):
+    def verify(cert):
+        bound = bound_value(cert.params)
+        return CertificateReport(False, len(cert.domain), bound, (problem,))
+
+    monkeypatch.setattr("signedfam.injection.verify_certificate", verify)
+
+
+def test_failed_verification_exit_1(capsys, monkeypatch, tmp_path):
+    fam_path = tmp_path / "fam.jsonl"
+    run(capsys, "star", "-n", "4", "-k", "2", "-r", "2", "-o", str(fam_path))
+    plant_failing_report(monkeypatch, "planted problem")
+    code, stdout, stderr = run(capsys, "inject", str(fam_path), "-o", str(tmp_path / "c.json"))
+    assert code == 1
+    assert stdout == ""
+    assert stderr == "error: planted problem\n"
+    assert not (tmp_path / "c.json").exists()
+
+
+def test_assemble_raises_on_failed_verification(monkeypatch):
+    plant_failing_report(monkeypatch, "planted problem")
+    with pytest.raises(VerificationFailed, match=r"^planted problem$"):
+        assemble_injection(star(Params(4, 2, 2)))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["search"], ["verify-bound"], ["random-family", "--seed", "1"]],
+)
+def test_graph_commands_take_no_cap(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["-n", "4", "-k", "2", "-r", "2", "--cap", "5"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --cap 5" in capsys.readouterr().err
+
+
+def test_star_cap_exit_3(capsys):
+    code, stdout, stderr = run(capsys, "star", "-n", "4", "-k", "2", "-r", "2", "--cap", "5")
+    assert code == 3
+    assert stdout == ""
+    assert stderr == "error: star has 6 members, cap is 5\n"
+
+
+def test_verify_bound_inconclusive_line(capsys):
+    code, stdout, _ = run(
+        capsys, "verify-bound", "-n", "9", "-k", "4", "-r", "2", "--budget", "5"
+    )
+    assert code == 0
+    assert stdout == "max>=448 bound=448 inconclusive (node budget exhausted)\n"

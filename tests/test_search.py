@@ -222,7 +222,7 @@ SMALL_GRAPHS = [
 
 @pytest.mark.parametrize("params", SMALL_GRAPHS, ids=str)
 def test_slot_mask_graph_matches_pairwise_reference(params):
-    verts, adj = search._intersection_graph(params, 10**7)
+    verts, adj = search._intersection_graph(params)
     ref_verts, ref_adj = pairwise_graph(params)
     assert verts == ref_verts
     assert adj == ref_adj
@@ -251,7 +251,7 @@ def test_search_families_are_canonical():
 
 def all_root_exact(params):
     """The search before fixing vertex 0: every root candidate is branched on."""
-    verts, adj = search._intersection_graph(params, 10**7)
+    verts, adj = search._intersection_graph(params)
     best = search._greedy_clique(adj, range(len(verts)))
     cur = []
 
@@ -331,7 +331,7 @@ def generator_pivot_cliques(params, cap):
 
     Returns the first cap + 1 maximal cliques as index tuples.
     """
-    verts, adj = search._intersection_graph(params, 10**7)
+    verts, adj = search._intersection_graph(params)
     found, cur = [], []
 
     def bk(p_mask, x_mask):
@@ -403,11 +403,11 @@ def test_graph_preflight_boundary(monkeypatch):
     # (3,1,2) has V = 6; the limit admits V^2 == MAX_GRAPH_BITS exactly
     build = search._intersection_graph.__wrapped__
     monkeypatch.setattr(search, "MAX_GRAPH_BITS", 36)
-    assert len(build(Params(3, 1, 2), 10**7)[0]) == 6
+    assert len(build(Params(3, 1, 2))[0]) == 6
     monkeypatch.setattr(search, "MAX_GRAPH_BITS", 35)
     monkeypatch.setattr(search, "universe", refuse_universe)
     with pytest.raises(TooLarge):
-        build(Params(3, 1, 2), 10**7)
+        build(Params(3, 1, 2))
 
 
 def test_cli_search_graph_too_large_exit_3(capsys, monkeypatch):
@@ -417,3 +417,39 @@ def test_cli_search_graph_too_large_exit_3(capsys, monkeypatch):
     assert code == 3
     assert captured.out == ""
     assert "adjacency bits" in captured.err
+
+
+def test_graph_cache_keyed_on_params_alone():
+    search._intersection_graph.cache_clear()
+    p = Params(5, 2, 2)
+    max_intersecting_exact(p)
+    random_maximal_intersecting(p, 3)
+    verify_bound(p, node_budget=50)
+    enumerate_maximal_intersecting(Params(5, 2, 2), cap=5000)  # an equal key, not p itself
+    info = search._intersection_graph.cache_info()
+    assert info.misses == 1
+    assert info.currsize == 1
+
+
+@pytest.mark.parametrize(
+    "params",
+    [Params(3, 2, 1), Params(4, 2, 1), Params(6, 3, 2), Params(7, 3, 3), Params(9, 4, 2)],
+)
+def test_exact_finds_maximum_from_a_one_vertex_incumbent(monkeypatch, params):
+    # first-fit already yields a maximum clique, so the search never has
+    # to improve on it; a one-vertex incumbent forces that update path
+    want = max_intersecting_exact(params).max_size
+    assert want > 1
+    monkeypatch.setattr(search, "_greedy_clique", lambda adj, order: [0])
+    res = max_intersecting_exact(params)
+    assert res.exhausted
+    assert res.max_size == want
+    assert len(res.witness) == want
+    assert is_intersecting(res.witness)
+
+
+def test_exact_budget_aborts_mid_loop():
+    res = max_intersecting_exact(Params(9, 4, 2), node_budget=5)
+    assert (res.max_size, res.nodes_explored, res.exhausted) == (448, 6, False)
+    assert len(res.witness) == 448
+    assert is_intersecting(res.witness)
