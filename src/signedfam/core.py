@@ -17,9 +17,11 @@ arguments and are safe to run concurrently on shared inputs.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
+from operator import itemgetter
 
 from .errors import (
     DuplicateElement,
@@ -76,7 +78,7 @@ def make_signed_set(pairs, params: Params) -> SignedSet:
 
 def support(sset: SignedSet) -> PlainSet:
     """The set of first coordinates of a signed set."""
-    return tuple(x for x, _ in sset)
+    return tuple(map(itemgetter(0), sset))
 
 
 def mod_one_based(v: int, y: int) -> int:
@@ -102,18 +104,6 @@ def shift_signs(sset: SignedSet, q: int, r: int) -> SignedSet:
 def intersects(a: SignedSet, b: SignedSet) -> bool:
     """True when the two signed sets share an (element, sign) pair."""
     return not set(a).isdisjoint(b)
-
-
-def _pair_mask(sset: SignedSet, r: int) -> int:
-    """Bit-packed encoding with one bit per (element, sign) slot.
-
-    Internal fast path: two signed sets intersect iff their masks AND
-    to a nonzero value.  Observable behavior stays on the tuple form.
-    """
-    m = 0
-    for x, a in sset:
-        m |= 1 << ((x - 1) * r + (a - 1))
-    return m
 
 
 @dataclass(frozen=True)
@@ -245,15 +235,18 @@ def _slot_masks(members) -> dict:
     return slots
 
 
-def _cover_rows(members):
-    """Yield, per member, the OR of its slots' masks: the members it meets.
+def _cover_rows(members, sets):
+    """Yield, per set in sets, the OR of its slots' masks over members.
 
-    Bit j of member i's row is set iff members i and j share a slot, so
-    a row covers member i itself unless i is empty.  O(|F| * k) big-int
-    ORs in place of O(|F|^2) pair tests.
+    A row marks the members the set meets: bit j of member i's row is
+    set iff members i and j share a slot, so a row covers member i
+    itself unless i is empty.  O(|F| * k) big-int ORs for the masks and
+    O(k) per row, in place of O(|F|^2) pair tests.  The intersection
+    graph takes every member's row; is_intersecting takes only the rows
+    of members outside its core slot.
     """
     slots = _slot_masks(members)
-    for m in members:
+    for m in sets:
         row = 0
         for p in m:
             row |= slots[p]
@@ -263,15 +256,25 @@ def _cover_rows(members):
 def is_intersecting(fam: SignedFamily) -> bool:
     """True when every two members share a signed pair (vacuous below 2).
 
-    A member meets every member, itself included, iff its cover row is
-    full; the scan stops at the first row that is not.  The shortcut
-    below 2 members keeps a lone empty member vacuously intersecting.
+    One C-level pass counts every (element, sign) slot, and the most
+    common one is the core.  Members holding the core meet each other,
+    so every disjoint pair has a member outside the core, and only those
+    members are tested: one is met by every member iff its cover row is
+    full.  A star costs the counting pass alone; slot masks are built
+    only when some member lacks the core, and the scan stops at the
+    first row that is not full.  The shortcut below 2 members keeps a
+    lone empty member vacuously intersecting.
     """
     members = fam.members
     if len(members) < 2:
         return True
+    counts = Counter(itertools.chain.from_iterable(members))
+    core = counts.most_common(1)[0][0]
+    outside = [m for m in members if core not in m]
+    if not outside:
+        return True
     full = (1 << len(members)) - 1
-    return all(row == full for row in _cover_rows(members))
+    return all(row == full for row in _cover_rows(members, outside))
 
 
 def bound_value(params: Params) -> int:

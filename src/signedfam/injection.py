@@ -289,23 +289,24 @@ def assemble_injection(fam: SignedFamily) -> InjectionCertificate:
     if not is_intersecting(fam):
         raise NotIntersecting("input family has a disjoint pair of members")
     part = partition_family(fam)
-    pairs: list[tuple[SignedSet, SignedSet]] = []
-    for m in part.anchored[0].members:
-        pairs.append((m, m))
+    fixed = part.anchored[0].members
+    images: dict[SignedSet, SignedSet] = dict(zip(fixed, fixed))
     for i in range(2, p.r + 1):
         for m in part.anchored[i - 1].members:
             # canonical m leads with (1, i); the shifted tail keeps its order
-            pairs.append((m, ((1, 1),) + shift_signs(m[1:], i - 1, p.r)))
+            images[m] = ((1, 1),) + shift_signs(m[1:], i - 1, p.r)
     tails = complements_in_tail(build_supports(part.free), p.n)
     matching = match_to_shadow(tails)
     for m, housed in sign_assign(part.free, matching).items():
         # housed is sorted over elements >= 2, so (1, 1) goes first
-        pairs.append((m, ((1, 1),) + housed))
-    pairs.sort()
+        images[m] = ((1, 1),) + housed
+    # the domain's members are distinct and sorted, so listing the pairs
+    # in domain order lists them sorted
+    members = fam.members
     cert = InjectionCertificate(
         params=p,
         domain=fam,
-        mapping=tuple(pairs),
+        mapping=tuple(zip(members, map(images.__getitem__, members))),
         block_sizes=(len(part.free),) + tuple(len(b) for b in part.anchored),
     )
     report = verify_certificate(cert)
@@ -317,13 +318,18 @@ def assemble_injection(fam: SignedFamily) -> InjectionCertificate:
 def verify_certificate(cert: InjectionCertificate) -> CertificateReport:
     """Re-check a certificate from scratch, trusting nothing.
 
-    Confirms the mapping is total on the domain, targets are pairwise
-    distinct, every target contains (1, 1) and is a valid signed k-set,
-    and the domain size respects the extremal bound.  Failures are
-    report content and name the offending pairs; nothing is raised.
+    Confirms the certificate's params are the domain's, the mapping is
+    total on the domain, targets are pairwise distinct, every target
+    contains (1, 1) and is a valid signed k-set, and the domain size
+    respects the extremal bound.  Failures are report content and name
+    the offending pairs; nothing is raised.
     """
     problems: list[str] = []
     p = cert.params
+    if p != cert.domain.params:
+        problems.append(
+            f"certificate params {p} differ from the domain's {cert.domain.params}"
+        )
     sources = tuple(map(itemgetter(0), cert.mapping))
     # a mapping listing exactly the domain's members in order, the shape
     # assemble_injection emits, has no repeated, missing or extra source

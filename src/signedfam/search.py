@@ -4,8 +4,9 @@ Vertices are the signed k-sets of the universe in canonical order;
 edges join intersecting pairs.  Adjacency lives in bitmask rows, one
 arbitrary-precision integer per vertex: its cover row from
 core._cover_rows (the OR of its k (element, sign) slot masks) minus
-its own bit.  The graph is cached per Params, and MAX_GRAPH_BITS is
-its only size limit.  On top of that graph:
+its own bit.  MAX_GRAPH_BITS is the graph's only size limit, and it
+also bounds the per-Params cache, which drops least recently used
+graphs to stay within it.  On top of that graph:
 
 - exact maximum intersecting family size by branch-and-bound maximum
   clique with greedy-colouring upper bounds; the graph is
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -147,20 +149,36 @@ class BoundReport:
     nodes_explored: int
 
 
-@lru_cache(maxsize=32)
+#: Cached graphs by Params, least recently used first.
+_graphs: OrderedDict[Params, tuple] = OrderedDict()
+
+
 def _intersection_graph(params: Params):
     """Vertices (canonical order) and bitmask adjacency rows, cached per params.
 
     Each row is the vertex's cover row minus its own bit.  Raises
     TooLarge, before the universe is built, when the V^2 row bits would
-    exceed MAX_GRAPH_BITS, the graph's only size limit.
+    exceed MAX_GRAPH_BITS, the graph's only size limit.  The same limit
+    bounds the cache: before a graph is built, least recently used
+    graphs are dropped until the cached V^2 bits and the new graph's
+    fit within it.
     """
-    nv = params.r ** params.k * comb(params.n, params.k)
-    if nv * nv > MAX_GRAPH_BITS:
-        raise TooLarge(f"graph has {nv}^2 adjacency bits, limit is {MAX_GRAPH_BITS}")
-    verts = universe(params).members
-    adj = tuple(row ^ (1 << i) for i, row in enumerate(_cover_rows(verts)))
-    return verts, adj
+    graph = _graphs.pop(params, None)
+    if graph is None:
+        nv = params.r ** params.k * comb(params.n, params.k)
+        bits = nv * nv
+        if bits > MAX_GRAPH_BITS:
+            raise TooLarge(f"graph has {nv}^2 adjacency bits, limit is {MAX_GRAPH_BITS}")
+        cached = sum(len(verts) ** 2 for verts, _ in _graphs.values())
+        while cached + bits > MAX_GRAPH_BITS:
+            verts, _ = _graphs.popitem(last=False)[1]
+            cached -= len(verts) ** 2
+        verts = universe(params).members
+        rows = _cover_rows(verts, verts)
+        adj = tuple(row ^ (1 << i) for i, row in enumerate(rows))
+        graph = verts, adj
+    _graphs[params] = graph
+    return graph
 
 
 def _greedy_clique(adj, order) -> list[int]:

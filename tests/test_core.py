@@ -4,7 +4,15 @@ import itertools
 import random
 
 import pytest
-from conftest import sf
+from conftest import (
+    HILTON_MILNER,
+    HM_A,
+    TIED_DISJOINT,
+    TIED_INTERSECTING,
+    intersecting_corpus,
+    pairwise_intersecting,
+    sf,
+)
 
 from signedfam import (
     Params,
@@ -89,10 +97,6 @@ def test_is_intersecting():
     assert not is_intersecting(sf(2, 1, 2, [[(1, 1)], [(2, 1)]]))
 
 
-def pairwise_intersecting(fam):
-    return all(intersects(a, b) for a, b in itertools.combinations(fam.members, 2))
-
-
 def test_is_intersecting_agrees_with_pairwise_reference():
     p = Params(5, 2, 3)
     pool = universe(p).members
@@ -121,6 +125,47 @@ def test_is_intersecting_finds_disjoint_last_pair():
     assert not is_intersecting(fam)
     assert not pairwise_intersecting(fam)
     assert is_intersecting(sf(6, 3, 2, shared + [a]))
+
+
+def test_is_intersecting_matches_all_pairs_on_the_corpus():
+    outcomes = set()
+    for label, fam in intersecting_corpus():
+        want = pairwise_intersecting(fam)
+        assert is_intersecting(fam) == want, label
+        outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+def slot_counts(members):
+    counts = {}
+    for m in members:
+        for p in m:
+            counts[p] = counts.get(p, 0) + 1
+    return counts
+
+
+def test_is_intersecting_without_a_common_slot():
+    # every member lacks some slot, so the core leaves a member to test
+    fam = HILTON_MILNER
+    assert max(slot_counts(fam.members).values()) < len(fam)
+    assert is_intersecting(fam)
+    assert pairwise_intersecting(fam)
+    # a core member avoiding A: only A's row, outside the core, sees it
+    b = ((1, 1), (5, 1), (6, 1))
+    assert not intersects(b, HM_A)
+    assert not is_intersecting(SignedFamily(fam.params, fam.members + (b,)))
+
+
+@pytest.mark.parametrize(
+    "members, want", [(TIED_INTERSECTING, True), (TIED_DISJOINT, False)]
+)
+def test_is_intersecting_with_tied_core_slots(members, want):
+    counts = sorted(slot_counts(members).values(), reverse=True)
+    assert counts[0] == counts[1]
+    n = max(x for m in members for x, _ in m)
+    fam = SignedFamily(Params(n, 2, 2), members)
+    assert is_intersecting(fam) is want
+    assert pairwise_intersecting(fam) is want
 
 
 def test_universe_smallest_case_exact():

@@ -3,7 +3,13 @@
 import dataclasses
 
 import pytest
-from conftest import pf, proof_step_report, sf
+from conftest import (
+    intersecting_corpus,
+    pairwise_intersecting,
+    pf,
+    proof_step_report,
+    sf,
+)
 
 from signedfam import (
     Params,
@@ -231,6 +237,34 @@ def test_verify_certificate_flags_missing_anchor_pair():
     assert any("(1, 1)" in msg for msg in rep.problems)
 
 
+def test_verify_certificate_flags_relabelled_params():
+    # at (5,2,2) the bound is 8, so the (4,2,2) star's 6 members would fit
+    cert = assemble_injection(star(Params(4, 2, 2)))
+    cert = dataclasses.replace(cert, params=Params(5, 2, 2))
+    rep = verify_certificate(cert)
+    assert not rep.ok
+    assert rep.bound == 8
+    assert rep.problems == (
+        "certificate params Params(n=5, k=2, r=2) differ from the domain's "
+        "Params(n=4, k=2, r=2)",
+    )
+
+
+def test_mapping_is_the_sorted_pairs_in_domain_order():
+    # the old construction sorted the pairs; domain order must give the same tuple
+    checked = 0
+    for label, fam in intersecting_corpus():
+        p = fam.params
+        in_range = p.r >= 2 and 2 * p.k <= p.n and {len(m) for m in fam} <= {p.k}
+        if not in_range or not pairwise_intersecting(fam):
+            continue
+        cert = assemble_injection(fam)
+        assert cert.mapping == tuple(sorted(cert.mapping)), label
+        assert tuple(s for s, _ in cert.mapping) == fam.members, label
+        checked += 1
+    assert checked > 600
+
+
 def test_proof_steps_on_enumerated_families():
     from signedfam import enumerate_maximal_intersecting
 
@@ -245,6 +279,10 @@ def reference_verify_certificate(cert):
     """verify_certificate before its one-pass target check, kept as a test oracle."""
     problems = []
     p = cert.params
+    if p != cert.domain.params:
+        problems.append(
+            f"certificate params {p} differ from the domain's {cert.domain.params}"
+        )
     sources = [s for s, _ in cert.mapping]
     if len(set(sources)) != len(sources):
         problems.append("a source appears more than once in the mapping")
@@ -330,6 +368,9 @@ CORRUPTIONS = {
     "reordered target": _retarget(6, lambda p, t: t[::-1]),
     "domain over the bound": lambda cert: dataclasses.replace(
         cert, domain=universe(cert.params)
+    ),
+    "relabelled params": lambda cert: dataclasses.replace(
+        cert, params=Params(cert.params.n + 1, cert.params.k, cert.params.r)
     ),
     "several faults": lambda cert: _extra_source(
         _retarget(1, lambda p, t: t[:-1])(

@@ -1,8 +1,10 @@
 """Search oracles: exact maximum, maximal enumeration, seeded sampling."""
 
+from collections import OrderedDict
 from math import comb
 
 import pytest
+from conftest import pair_mask
 
 from signedfam import (
     Params,
@@ -20,7 +22,6 @@ from signedfam import (
 )
 from signedfam import search
 from signedfam.cli import main
-from signedfam.core import _pair_mask
 from signedfam.errors import CapExceeded, TooLarge
 
 
@@ -199,9 +200,9 @@ def test_verify_bound_reports():
 
 
 def pairwise_graph(params):
-    """The O(V^2) pair loop over _pair_mask encodings: the reference rows."""
+    """The O(V^2) pair loop over pair_mask encodings: the reference rows."""
     verts = universe(params).members
-    masks = [_pair_mask(v, params.r) for v in verts]
+    masks = [pair_mask(v, params.r) for v in verts]
     adj = [0] * len(verts)
     for i in range(len(verts)):
         for j in range(i + 1, len(verts)):
@@ -399,15 +400,35 @@ def test_graph_preflight_refuses_before_building(monkeypatch):
         enumerate_maximal_intersecting(p, cap=1)
 
 
+def fresh_graph_cache(monkeypatch):
+    """An empty graph cache for one test; returns the list of graph builds."""
+    builds = []
+
+    def counted_universe(params):
+        builds.append(params)
+        return universe(params)
+
+    monkeypatch.setattr(search, "_graphs", OrderedDict())
+    monkeypatch.setattr(search, "universe", counted_universe)
+    return builds
+
+
+def cached_bits():
+    return sum(len(verts) ** 2 for verts, _ in search._graphs.values())
+
+
 def test_graph_preflight_boundary(monkeypatch):
     # (3,1,2) has V = 6; the limit admits V^2 == MAX_GRAPH_BITS exactly
-    build = search._intersection_graph.__wrapped__
+    builds = fresh_graph_cache(monkeypatch)
     monkeypatch.setattr(search, "MAX_GRAPH_BITS", 36)
-    assert len(build(Params(3, 1, 2))[0]) == 6
+    assert len(search._intersection_graph(Params(3, 1, 2))[0]) == 6
+    assert builds == [Params(3, 1, 2)]
+    search._graphs.clear()
     monkeypatch.setattr(search, "MAX_GRAPH_BITS", 35)
     monkeypatch.setattr(search, "universe", refuse_universe)
     with pytest.raises(TooLarge):
-        build(Params(3, 1, 2))
+        search._intersection_graph(Params(3, 1, 2))
+    assert not search._graphs
 
 
 def test_cli_search_graph_too_large_exit_3(capsys, monkeypatch):
@@ -419,16 +440,51 @@ def test_cli_search_graph_too_large_exit_3(capsys, monkeypatch):
     assert "adjacency bits" in captured.err
 
 
-def test_graph_cache_keyed_on_params_alone():
-    search._intersection_graph.cache_clear()
+def test_graph_cache_keyed_on_params_alone(monkeypatch):
+    builds = fresh_graph_cache(monkeypatch)
     p = Params(5, 2, 2)
     max_intersecting_exact(p)
     random_maximal_intersecting(p, 3)
     verify_bound(p, node_budget=50)
     enumerate_maximal_intersecting(Params(5, 2, 2), cap=5000)  # an equal key, not p itself
-    info = search._intersection_graph.cache_info()
-    assert info.misses == 1
-    assert info.currsize == 1
+    assert builds == [p]
+    assert list(search._graphs) == [p]
+
+
+def test_graph_cache_evicts_least_recently_used_within_the_limit(monkeypatch):
+    builds = fresh_graph_cache(monkeypatch)
+    monkeypatch.setattr(search, "MAX_GRAPH_BITS", 52)
+    graph = search._intersection_graph
+    a, b, c = Params(3, 1, 2), Params(2, 1, 2), Params(3, 1, 1)  # V = 6, 4, 3
+    first_a = graph(a)
+    graph(b)
+    assert list(search._graphs) == [a, b]
+    assert cached_bits() == 52
+    graph(c)  # 52 + 9 bits: a, the least recently used, goes first
+    assert list(search._graphs) == [b, c]
+    assert cached_bits() == 25
+    graph(b)  # a hit moves b to the recent end
+    assert list(search._graphs) == [c, b]
+    assert graph(a) == first_a  # 25 + 36 bits: c goes, b stays
+    assert list(search._graphs) == [b, a]
+    assert cached_bits() == 52
+    assert builds == [a, b, c, a]
+    # a refused graph leaves the cache as it was
+    monkeypatch.setattr(search, "universe", refuse_universe)
+    with pytest.raises(TooLarge):
+        graph(Params(4, 1, 2))  # V = 8: 64 bits
+    assert list(search._graphs) == [b, a]
+
+
+def test_graph_cache_holds_the_sample_graphs_together(monkeypatch):
+    # the three parameter sets the benchmark samples, about 10.4 M bits
+    builds = fresh_graph_cache(monkeypatch)
+    ps = [Params(8, 4, 2), Params(9, 3, 3), Params(9, 4, 2)]
+    for _ in range(2):
+        for p in ps:
+            random_maximal_intersecting(p, 0)
+    assert builds == ps
+    assert cached_bits() == 1120**2 + 2268**2 + 2016**2 <= search.MAX_GRAPH_BITS
 
 
 @pytest.mark.parametrize(
