@@ -35,7 +35,7 @@ Pair = tuple[int, int]
 SignedSet = tuple[Pair, ...]
 PlainSet = tuple[int, ...]
 
-#: Default ceiling on the number of members universe() and star() will build.
+#: Default size cap for universe(), star() and enumerate_maximal_intersecting().
 DEFAULT_CAP = 10_000_000
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import itemgetter, lt
 
 from .core import (
     Params,
@@ -45,7 +45,6 @@ from .errors import (
     MissingPair,
     NoPerfectMatching,
     NotIntersecting,
-    OutOfRange,
     UnsupportedRange,
     VerificationFailed,
 )
@@ -97,25 +96,23 @@ def strip_first(block: SignedFamily, i: int) -> SignedFamily:
     return SignedFamily(block.params, tuple(out))
 
 
-def build_supports(fam: SignedFamily) -> PlainFamily:
-    """Deduplicated supports of all members."""
-    return PlainFamily(fam.params.n, tuple({support(m) for m in fam.members}))
+def complements_in_tail(free: SignedFamily) -> dict[PlainSet, list[SignedSet]]:
+    """Group the free class by support, keyed by the tail complement.
 
-
-def complements_in_tail(supports: PlainFamily, n: int) -> PlainFamily:
-    """Complement every member within the tail {2, ..., n}.
-
-    Complementation is a bijection, so the member count is preserved.
+    The tail complement is the support's complement within {2, ..., n},
+    a bijection, so there is one key per distinct support.  Each class
+    lists its members in canonical order.
     """
-    out = []
-    for m in supports.members:
-        if 1 in m:
-            raise ContainsOne(f"member {m} contains element 1")
-        if m and m[-1] > n:
-            raise OutOfRange(f"member {m} reaches beyond ground size {n}")
-        mem = set(m)
-        out.append(tuple(x for x in range(2, n + 1) if x not in mem))
-    return PlainFamily(n, tuple(out))
+    tail = range(2, free.params.n + 1)
+    by_support: dict[PlainSet, list[SignedSet]] = {}
+    for m in free.members:
+        by_support.setdefault(support(m), []).append(m)
+    classes = {}
+    for sup, members in by_support.items():
+        if 1 in sup:
+            raise ContainsOne(f"member {members[0]} contains element 1")
+        classes[tuple(x for x in tail if x not in sup)] = members
+    return classes
 
 
 def signed_versions(shadow_fam: PlainFamily, r: int) -> SignedFamily:
@@ -214,38 +211,33 @@ def match_to_shadow(tails: PlainFamily) -> dict[PlainSet, PlainSet]:
 
 
 def sign_assign(
-    free: SignedFamily, matching: dict[PlainSet, PlainSet]
+    classes: dict[PlainSet, list[SignedSet]],
+    matching: dict[PlainSet, PlainSet],
+    r: int,
 ) -> dict[SignedSet, SignedSet]:
     """Injectively re-house the free class on matched shadow supports.
 
-    Members sharing a support are ordered canonically and receive the
-    sign vectors over their matched target support in lexicographic
-    order (positions by ascending element).  Injectivity across
-    classes follows from the matching being injective.  A class larger
-    than r^(k-1) cannot be pairwise intersecting and is rejected.
+    The members of each class from complements_in_tail receive the sign
+    vectors over their matched target support in lexicographic order
+    (positions by ascending element).  Injectivity across classes
+    follows from the matching being injective.  A class larger than
+    r^(k-1) cannot be pairwise intersecting and is rejected.
     """
-    p = free.params
-    groups: dict[PlainSet, list[SignedSet]] = {}
-    for m in free.members:
-        groups.setdefault(support(m), []).append(m)
     out: dict[SignedSet, SignedSet] = {}
-    for sup in sorted(groups):
-        members = groups[sup]
-        limit = p.r ** (len(sup) - 1)
-        if len(members) > limit:
-            raise GroupOverflow(
-                f"support {sup} carries {len(members)} members, more than the "
-                f"{limit} that can pairwise intersect"
-            )
-        hidden = set(sup)
-        tail_complement = tuple(x for x in range(2, p.n + 1) if x not in hidden)
+    for tail_complement, members in classes.items():
         try:
             target = matching[tail_complement]
         except KeyError:
             raise NoPerfectMatching(
                 f"matching does not cover the tail complement {tail_complement}"
             ) from None
-        vectors = itertools.product(range(1, p.r + 1), repeat=len(target))
+        limit = r ** len(target)
+        if len(members) > limit:
+            raise GroupOverflow(
+                f"support {support(members[0])} carries {len(members)} members, "
+                f"more than the {limit} that can pairwise intersect"
+            )
+        vectors = itertools.product(range(1, r + 1), repeat=len(target))
         for m, vec in zip(members, vectors):
             out[m] = tuple(zip(target, vec))
     return out
@@ -295,9 +287,10 @@ def assemble_injection(fam: SignedFamily) -> InjectionCertificate:
         for m in part.anchored[i - 1].members:
             # canonical m leads with (1, i); the shifted tail keeps its order
             images[m] = ((1, 1),) + shift_signs(m[1:], i - 1, p.r)
-    tails = complements_in_tail(build_supports(part.free), p.n)
-    matching = match_to_shadow(tails)
-    for m, housed in sign_assign(part.free, matching).items():
+    classes = complements_in_tail(part.free)
+    # the family's sort fixes the Kuhn order, and so the certificate bytes
+    matching = match_to_shadow(PlainFamily(p.n, tuple(classes)))
+    for m, housed in sign_assign(classes, matching, p.r).items():
         # housed is sorted over elements >= 2, so (1, 1) goes first
         images[m] = ((1, 1),) + housed
     # the domain's members are distinct and sorted, so listing the pairs
@@ -319,7 +312,7 @@ def verify_certificate(cert: InjectionCertificate) -> CertificateReport:
     """Re-check a certificate from scratch, trusting nothing.
 
     Confirms the certificate's params are the domain's, the mapping is
-    total on the domain, targets are pairwise distinct, every target
+    total on the domain, targets are distinct as sets, every target
     contains (1, 1) and is a valid signed k-set, and the domain size
     respects the extremal bound.  Failures are report content and name
     the offending pairs; nothing is raised.
@@ -344,23 +337,26 @@ def verify_certificate(cert: InjectionCertificate) -> CertificateReport:
         if extra:
             problems.append(f"mapped sources outside the domain: {sorted(extra)}")
     targets = list(map(itemgetter(1), cert.mapping))
+    invalid: list[str] = []
+    if not _all_targets_valid(targets, p):
+        # word each failing target's problem, in mapping order; canonicalize the rest
+        for i, (s, t) in enumerate(cert.mapping):
+            if (1, 1) not in t:
+                invalid.append(f"target {t} of source {s} misses the pair (1, 1)")
+                continue
+            try:
+                targets[i] = make_signed_set(t, p)
+            except Error as exc:
+                invalid.append(f"target {t} of source {s} is invalid: {exc}")
+    # canonical forms decide sharing: one set in two pair orders is one target
     if len(set(targets)) != len(targets):
         by_target: dict[SignedSet, list[SignedSet]] = {}
-        for s, t in cert.mapping:
+        for s, t in zip(sources, targets):
             by_target.setdefault(t, []).append(s)
         for t, srcs in sorted(by_target.items()):
             if len(srcs) > 1:
                 problems.append(f"target {t} is shared by sources {srcs}")
-    if not _all_targets_valid(targets, p):
-        # word the problem of each failing target, in mapping order
-        for s, t in cert.mapping:
-            if (1, 1) not in t:
-                problems.append(f"target {t} of source {s} misses the pair (1, 1)")
-                continue
-            try:
-                make_signed_set(t, p)
-            except Error as exc:
-                problems.append(f"target {t} of source {s} is invalid: {exc}")
+    problems += invalid
     bound = bound_value(p)
     if len(cert.domain) > bound:
         problems.append(f"domain size {len(cert.domain)} exceeds the bound {bound}")
@@ -368,13 +364,13 @@ def verify_certificate(cert: InjectionCertificate) -> CertificateReport:
 
 
 def _all_targets_valid(targets: list, p: Params) -> bool:
-    """True when every target is a signed k-set led by (1, 1).
+    """True when every target is a canonical signed k-set led by (1, 1).
 
     A sufficient test made of C-level passes over all targets at once:
     each is a tuple of k pairs led by (1, 1), each distinct pair is an
-    in-range (element, sign) tuple of ints, and no target repeats an
-    element (its dict has k keys).  Every such target passes the
-    per-target check; False only means that check must run.
+    in-range (element, sign) tuple of ints, and elements strictly increase
+    along each target.  Every such target passes the per-target check;
+    False only means that check must run.
     """
     n, k, r = p.n, p.k, p.r
     return (
@@ -390,5 +386,8 @@ def _all_targets_valid(targets: list, p: Params) -> bool:
             and 1 <= pr[1] <= r
             for pr in set(itertools.chain.from_iterable(targets))
         )
-        and set(map(len, map(dict, targets))) <= {k}
+        and all(
+            all(map(lt, map(itemgetter(0), left), map(itemgetter(0), right)))
+            for left, right in itertools.pairwise(zip(*targets))
+        )
     )

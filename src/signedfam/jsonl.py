@@ -37,6 +37,18 @@ from .injection import InjectionCertificate
 compact_json = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
+def _json_object(line: str, lineno: int) -> dict:
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise FormatError(lineno, f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise FormatError(lineno, "nested too deeply to parse") from None
+    if not isinstance(obj, dict):
+        raise FormatError(lineno, "expected a JSON object")
+    return obj
+
+
 def signed_family_to_json(fam: SignedFamily) -> str:
     obj = {
         "n": fam.params.n,
@@ -49,12 +61,7 @@ def signed_family_to_json(fam: SignedFamily) -> str:
 
 def parse_signed_family(line: str, lineno: int = 1) -> SignedFamily:
     """Parse one family line, rejecting anything invalid or non-canonical."""
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise FormatError(lineno, f"not valid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise FormatError(lineno, "expected a JSON object")
+    obj = _json_object(line, lineno)
     if set(obj) != {"n", "k", "r", "sets"}:
         raise FormatError(lineno, f"expected keys n, k, r, sets; got {sorted(obj)}")
     # json.loads yields exact list and int objects (bool is its own type),
@@ -139,12 +146,7 @@ def plain_family_to_json(fam: PlainFamily) -> str:
 
 
 def parse_plain_family(line: str, lineno: int = 1) -> PlainFamily:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise FormatError(lineno, f"not valid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise FormatError(lineno, "expected a JSON object")
+    obj = _json_object(line, lineno)
     if set(obj) != {"n", "sets"}:
         raise FormatError(lineno, f"expected keys n, sets; got {sorted(obj)}")
     if type(obj["n"]) is not int or obj["n"] < 1:

@@ -10,7 +10,6 @@ from signedfam import (
     Params,
     PlainFamily,
     SignedFamily,
-    build_supports,
     complements_in_tail,
     enumerate_maximal_intersecting,
     intersects,
@@ -113,6 +112,11 @@ def pf(ground, sets) -> PlainFamily:
     return PlainFamily(ground, tuple(tuple(s) for s in sets))
 
 
+def free_tails(fam: SignedFamily) -> PlainFamily:
+    """The tail complements of fam's free class, as assemble_injection matches them."""
+    return PlainFamily(fam.params.n, tuple(complements_in_tail(partition_family(fam).free)))
+
+
 def proof_step_report(fam: SignedFamily) -> dict[str, bool]:
     """Re-derive the per-class facts the injection construction relies on.
 
@@ -144,7 +148,7 @@ def proof_step_report(fam: SignedFamily) -> dict[str, bool]:
                     if not mi & mj:
                         cross_intersect = False
 
-    tails = complements_in_tail(build_supports(part.free), p.n)
+    tails = free_tails(fam)
     sh = shadow_to(tails, p.k - 1)
     pool_bound = len(part.free) <= p.r ** (p.k - 1) * len(sh)
 

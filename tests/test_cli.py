@@ -104,6 +104,15 @@ def test_inject_parse_error_exit_2(capsys, tmp_path):
     assert "line 1" in stderr
 
 
+def test_inject_deeply_nested_line_exit_2(capsys, tmp_path):
+    fam_path = tmp_path / "deep.jsonl"
+    fam_path.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+    code, stdout, stderr = run(capsys, "inject", str(fam_path))
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "error: line 1: nested too deeply to parse\n"
+
+
 def test_inject_missing_file_exit_2(capsys, tmp_path):
     code, _, _ = run(capsys, "inject", str(tmp_path / "nope.jsonl"))
     assert code == 2

@@ -1,6 +1,7 @@
 """Injection pipeline: partition, strip, supports, matching, assembly."""
 
 import dataclasses
+import itertools
 
 import pytest
 from conftest import (
@@ -13,8 +14,8 @@ from conftest import (
 
 from signedfam import (
     Params,
+    PlainFamily,
     assemble_injection,
-    build_supports,
     complements_in_tail,
     match_to_shadow,
     partition_family,
@@ -23,6 +24,7 @@ from signedfam import (
     signed_versions,
     star,
     strip_first,
+    support,
     universe,
     verify_certificate,
 )
@@ -83,19 +85,21 @@ def test_strip_first():
         strip_first(sf(3, 2, 2, [[(2, 1), (3, 1)]]), 1)
 
 
-def test_build_supports():
-    fam = sf(3, 2, 2, [[(2, 1), (3, 1)], [(2, 2), (3, 2)]])
-    assert build_supports(fam).members == ((2, 3),)
-    assert build_supports(sf(3, 2, 2, [])).members == ()
-    free = partition_family(six_sets_through_pair_2_1()).free
-    assert build_supports(free).members == ((2, 3), (2, 4))
-
-
 def test_complements_in_tail():
-    assert complements_in_tail(pf(4, [[2, 3], [2, 4]]), 4).members == ((3,), (4,))
-    assert complements_in_tail(pf(2, [[2]]), 2).members == ((),)
+    # one class per support, keyed by its complement within {2, ..., n}
+    free = partition_family(six_sets_through_pair_2_1()).free
+    classes = complements_in_tail(free)
+    assert classes == {
+        (4,): [((2, 1), (3, 1)), ((2, 1), (3, 2))],
+        (3,): [((2, 1), (4, 1)), ((2, 1), (4, 2))],
+    }
+    assert PlainFamily(4, tuple(classes)).members == ((3,), (4,))
+    pair = sf(3, 2, 2, [[(2, 1), (3, 1)], [(2, 2), (3, 2)]])
+    assert complements_in_tail(pair) == {(): list(pair.members)}
+    assert complements_in_tail(sf(2, 1, 2, [[(2, 1)]])) == {(): [((2, 1),)]}
+    assert complements_in_tail(sf(3, 2, 2, [])) == {}
     with pytest.raises(ContainsOne):
-        complements_in_tail(pf(4, [[1, 2]]), 4)
+        complements_in_tail(sf(4, 2, 2, [[(1, 1), (2, 1)]]))
 
 
 def test_signed_versions():
@@ -134,9 +138,9 @@ def test_match_reports_infeasibility():
 
 
 def test_sign_assign_hand_traced():
-    free = sf(4, 2, 2, [[(2, 1), (3, 1)], [(2, 1), (3, 2)]])
+    classes = {(4,): [((2, 1), (3, 1)), ((2, 1), (3, 2))]}
     sigma = {(4,): (4,)}
-    out = sign_assign(free, sigma)
+    out = sign_assign(classes, sigma, 2)
     assert out == {
         ((2, 1), (3, 1)): ((4, 1),),
         ((2, 1), (3, 2)): ((4, 2),),
@@ -144,21 +148,25 @@ def test_sign_assign_hand_traced():
 
 
 def test_sign_assign_empty():
-    assert sign_assign(sf(4, 2, 2, []), {}) == {}
+    assert sign_assign({}, {}, 2) == {}
 
 
 def test_sign_assign_reports_uncovered_support_as_matching_fault():
     # supports (2,3) and (2,4) have tail complements (4,) and (3,); only one is matched
-    free = sf(4, 2, 2, [[(2, 1), (3, 1)], [(2, 1), (4, 1)]])
-    with pytest.raises(NoPerfectMatching):
-        sign_assign(free, {(4,): (4,)})
+    classes = complements_in_tail(sf(4, 2, 2, [[(2, 1), (3, 1)], [(2, 1), (4, 1)]]))
+    with pytest.raises(NoPerfectMatching) as exc:
+        sign_assign(classes, {(4,): (4,)}, 2)
+    assert str(exc.value) == "matching does not cover the tail complement (3,)"
 
 
 def test_sign_assign_group_overflow():
     # three members on one support cannot pairwise intersect when r=2, k=2
     free = sf(4, 2, 2, [[(2, 1), (3, 1)], [(2, 1), (3, 2)], [(2, 2), (3, 1)]])
-    with pytest.raises(GroupOverflow):
-        sign_assign(free, {(4,): (4,)})
+    with pytest.raises(GroupOverflow) as exc:
+        sign_assign(complements_in_tail(free), {(4,): (4,)}, 2)
+    assert str(exc.value) == (
+        "support (2, 3) carries 3 members, more than the 2 that can pairwise intersect"
+    )
 
 
 def test_assemble_star_is_fixed_point():
@@ -250,14 +258,19 @@ def test_verify_certificate_flags_relabelled_params():
     )
 
 
-def test_mapping_is_the_sorted_pairs_in_domain_order():
-    # the old construction sorted the pairs; domain order must give the same tuple
-    checked = 0
+def in_range_corpus():
+    """The intersecting_corpus() families that assemble_injection accepts."""
     for label, fam in intersecting_corpus():
         p = fam.params
         in_range = p.r >= 2 and 2 * p.k <= p.n and {len(m) for m in fam} <= {p.k}
-        if not in_range or not pairwise_intersecting(fam):
-            continue
+        if in_range and pairwise_intersecting(fam):
+            yield label, fam
+
+
+def test_mapping_is_the_sorted_pairs_in_domain_order():
+    # the old construction sorted the pairs; domain order must give the same tuple
+    checked = 0
+    for label, fam in in_range_corpus():
         cert = assemble_injection(fam)
         assert cert.mapping == tuple(sorted(cert.mapping)), label
         assert tuple(s for s, _ in cert.mapping) == fam.members, label
@@ -276,7 +289,10 @@ def test_proof_steps_on_enumerated_families():
 
 
 def reference_verify_certificate(cert):
-    """verify_certificate before its one-pass target check, kept as a test oracle."""
+    """verify_certificate before its one-pass target check, kept as a test oracle.
+
+    Targets are compared for sharing in canonical form.
+    """
     problems = []
     p = cert.params
     if p != cert.domain.params:
@@ -294,7 +310,12 @@ def reference_verify_certificate(cert):
         problems.append(f"mapped sources outside the domain: {sorted(extra)}")
     by_target = {}
     for s, t in cert.mapping:
-        by_target.setdefault(t, []).append(s)
+        # one set listed in two pair orders is one target
+        try:
+            key = make_signed_set(t, p) if (1, 1) in t else t
+        except Error:
+            key = t
+        by_target.setdefault(key, []).append(s)
     for t, srcs in sorted(by_target.items()):
         if len(srcs) > 1:
             problems.append(f"target {t} is shared by sources {srcs}")
@@ -319,6 +340,55 @@ SEEDED_CERTS = [
     for p in (Params(8, 4, 2), Params(9, 3, 3), Params(9, 4, 2))
     for seed in range(20)
 ]
+
+
+def reference_build_supports(fam):
+    """Deduplicated supports of all members, the first step of the old free-class pipeline."""
+    return PlainFamily(fam.params.n, tuple({support(m) for m in fam.members}))
+
+
+def reference_complements_in_tail(supports, n):
+    """Complement every support within the tail {2, ..., n}."""
+    out = []
+    for m in supports.members:
+        if 1 in m:
+            raise ContainsOne(f"member {m} contains element 1")
+        mem = set(m)
+        out.append(tuple(x for x in range(2, n + 1) if x not in mem))
+    return PlainFamily(n, tuple(out))
+
+
+def reference_sign_assign(free, matching):
+    """Regroup the free class by support and sign each class over its matched target."""
+    p = free.params
+    groups = {}
+    for m in free.members:
+        groups.setdefault(support(m), []).append(m)
+    out = {}
+    for sup in sorted(groups):
+        members = groups[sup]
+        limit = p.r ** (len(sup) - 1)
+        if len(members) > limit:
+            raise GroupOverflow(f"support {sup} carries {len(members)} members")
+        hidden = set(sup)
+        target = matching[tuple(x for x in range(2, p.n + 1) if x not in hidden)]
+        vectors = itertools.product(range(1, p.r + 1), repeat=len(target))
+        for m, vec in zip(members, vectors):
+            out[m] = tuple(zip(target, vec))
+    return out
+
+
+def test_free_class_images_match_reference():
+    families = [fam for _, fam in in_range_corpus()] + [c.domain for c in SEEDED_CERTS]
+    for fam in families:
+        free = partition_family(fam).free
+        tails = reference_complements_in_tail(reference_build_supports(free), fam.params.n)
+        want = reference_sign_assign(free, match_to_shadow(tails))
+        classes = complements_in_tail(free)
+        assert PlainFamily(fam.params.n, tuple(classes)) == tails
+        got = sign_assign(classes, match_to_shadow(tails), fam.params.r)
+        assert got == want
+    assert len(families) > 660
 
 
 def test_verify_certificate_matches_reference_on_valid():
@@ -366,6 +436,9 @@ CORRUPTIONS = {
     "repeated element": _retarget(4, lambda p, t: t[:-1] + ((t[-2][0], t[-1][1]),)),
     "wrong size": _retarget(5, lambda p, t: t[:-1]),
     "reordered target": _retarget(6, lambda p, t: t[::-1]),
+    "one set in two pair orders": _remap(
+        lambda m: m[:1] + [(m[1][0], m[0][1][:-2] + m[0][1][:-3:-1])] + m[2:]
+    ),
     "domain over the bound": lambda cert: dataclasses.replace(
         cert, domain=universe(cert.params)
     ),

@@ -3,17 +3,16 @@
 import json
 
 import pytest
-from conftest import pf, sf
+from conftest import free_tails, pf, sf
 
 from signedfam import (
     Params,
     SignedFamily,
     assemble_injection,
-    build_supports,
-    complements_in_tail,
     partition_family,
     random_maximal_intersecting,
     star,
+    support,
     universe,
 )
 from signedfam.errors import FormatError
@@ -73,6 +72,14 @@ def test_signed_family_rejects(line, fragment):
         parse_signed_family(line)
     assert fragment in str(info.value)
     assert str(info.value).startswith("line 1:")
+
+
+@pytest.mark.parametrize("parse", [parse_signed_family, parse_plain_family])
+def test_deeply_nested_line_is_a_format_error(parse):
+    # json.loads raises RecursionError here; the reader reports the line instead
+    with pytest.raises(FormatError) as info:
+        parse("[" * 100_000 + "]" * 100_000, lineno=3)
+    assert str(info.value) == "line 3: nested too deeply to parse"
 
 
 def test_line_numbers_reported():
@@ -269,8 +276,8 @@ def seeded_families():
 def test_encoders_match_reference_bytes():
     for fam in seeded_families():
         assert signed_family_to_json(fam) == reference_signed_family_to_json(fam)
-        supports = build_supports(partition_family(fam).free)
-        for plain in (supports, complements_in_tail(supports, fam.params.n)):
+        supports = pf(fam.params.n, {support(m) for m in partition_family(fam).free})
+        for plain in (supports, free_tails(fam)):
             assert plain_family_to_json(plain) == reference_plain_family_to_json(plain)
         cert = assemble_injection(fam)
         assert certificate_to_json(cert) == reference_certificate_to_json(cert)

@@ -4,16 +4,13 @@ import itertools
 import random
 
 import pytest
-from conftest import pf
+from conftest import free_tails, pf
 
 from signedfam import (
     Params,
     PlainFamily,
     SignedFamily,
-    build_supports,
-    complements_in_tail,
     match_to_shadow,
-    partition_family,
     random_maximal_intersecting,
     shadow_to,
 )
@@ -58,10 +55,6 @@ def recursive_kuhn(tails):
                 f"no injective shadow assignment covers {tails.members[u]}"
             )
     return {tails.members[u]: sh.members[v] for u, v in match_left.items()}
-
-
-def free_tails(fam):
-    return complements_in_tail(build_supports(partition_family(fam).free), fam.params.n)
 
 
 def contains_2_1_avoids_1(p):
