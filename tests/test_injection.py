@@ -85,6 +85,20 @@ def test_strip_first():
         strip_first(sf(3, 2, 2, [[(2, 1), (3, 1)]]), 1)
 
 
+def test_build_supports():
+    # the free class is grouped by support: one class per distinct support
+    def supports(fam):
+        return tuple(sorted(support(ms[0]) for ms in complements_in_tail(fam).values()))
+
+    fam = sf(3, 2, 2, [[(2, 1), (3, 1)], [(2, 2), (3, 2)]])
+    assert supports(fam) == ((2, 3),)
+    assert supports(sf(3, 2, 2, [])) == ()
+    free = partition_family(six_sets_through_pair_2_1()).free
+    assert supports(free) == ((2, 3), (2, 4))
+    for members in complements_in_tail(free).values():
+        assert {support(m) for m in members} == {support(members[0])}
+
+
 def test_complements_in_tail():
     # one class per support, keyed by its complement within {2, ..., n}
     free = partition_family(six_sets_through_pair_2_1()).free
