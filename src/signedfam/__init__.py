@@ -1,8 +1,8 @@
 """Intersecting families of signed sets.
 
-Canonical types and operations, shadow machinery, an explicit verified
-injection of any in-range intersecting family into the star at (1, 1),
-and exact brute-force search oracles confirming the extremal bound
+Canonical types and operations, an explicit verified injection of any
+in-range intersecting family into the star at (1, 1), and exact
+brute-force search oracles confirming the extremal bound
 r^(k-1) * C(n-1, k-1) at desk scale.
 """
 
@@ -20,7 +20,6 @@ from .core import (
     make_signed_set,
     mod_one_based,
     shift_signs,
-    shift_signs_family,
     star,
     support,
     universe,
@@ -34,8 +33,6 @@ from .injection import (
     match_to_shadow,
     partition_family,
     sign_assign,
-    signed_versions,
-    strip_first,
     verify_certificate,
 )
 from .search import (
@@ -48,7 +45,7 @@ from .search import (
     random_maximal_intersecting,
     verify_bound,
 )
-from .shadow import KatonaReport, katona_check, min_pairwise_intersection, shadow_to
+from .shadow import shadow_to
 from . import errors, jsonl
 
 __all__ = [
@@ -57,7 +54,6 @@ __all__ = [
     "BoundReport",
     "CertificateReport",
     "InjectionCertificate",
-    "KatonaReport",
     "Pair",
     "Params",
     "Partition",
@@ -75,21 +71,16 @@ __all__ = [
     "intersects",
     "is_intersecting",
     "jsonl",
-    "katona_check",
     "make_signed_set",
     "match_to_shadow",
     "max_intersecting_exact",
-    "min_pairwise_intersection",
     "mod_one_based",
     "partition_family",
     "random_maximal_intersecting",
     "shadow_to",
     "shift_signs",
-    "shift_signs_family",
     "sign_assign",
-    "signed_versions",
     "star",
-    "strip_first",
     "support",
     "universe",
     "verify_bound",

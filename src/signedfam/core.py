@@ -111,10 +111,12 @@ class SignedFamily:
     """A duplicate-free collection of signed sets under common parameters.
 
     Members are stored sorted, each in canonical pair order.  Member
-    size is uniform but may be smaller than params.k: derived views,
-    such as a family with a common pair removed from every member, are
-    legal values of this type.  Serialized interchange is stricter and
-    requires size exactly k.
+    size is uniform but may be smaller than params.k.  The library
+    builds only k-sized members; the values that use the allowance are
+    the test references' derived families (a block with its common pair
+    stripped, its sign shifts, the signed versions of a shadow) and a
+    lone empty member.
+    Serialized interchange is stricter and requires size exactly k.
     """
 
     params: Params
@@ -319,9 +321,3 @@ def star(params: Params, cap: int = DEFAULT_CAP) -> SignedFamily:
     # canonical and distinct by construction, but not generated in order
     members.sort()
     return _canonical_family(params, tuple(members))
-
-
-def shift_signs_family(fam: SignedFamily, q: int) -> SignedFamily:
-    """Member-wise cyclic sign shift; a bijection, so the size is kept."""
-    r = fam.params.r
-    return SignedFamily(fam.params, tuple(shift_signs(m, q, r) for m in fam.members))

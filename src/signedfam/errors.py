@@ -29,18 +29,6 @@ class NonUniform(Error):
     """Family members do not share a common size."""
 
 
-class TooFewMembers(Error):
-    """An operation needs at least two members to be meaningful."""
-
-
-class NotTIntersecting(Error):
-    """A family fails the pairwise intersection floor it was claimed to meet."""
-
-
-class MissingPair(Error):
-    """A member lacks the common pair that was to be stripped."""
-
-
 class ContainsOne(Error):
     """A plain set contains element 1 where only tail elements are allowed."""
 

@@ -42,7 +42,6 @@ from .errors import (
     ContainsOne,
     Error,
     GroupOverflow,
-    MissingPair,
     NoPerfectMatching,
     NotIntersecting,
     UnsupportedRange,
@@ -82,20 +81,6 @@ def partition_family(fam: SignedFamily) -> Partition:
     )
 
 
-def strip_first(block: SignedFamily, i: int) -> SignedFamily:
-    """Remove the common pair (1, i) from every member.
-
-    Removal of a shared pair is injective, so the size is preserved.
-    """
-    pair = (1, i)
-    out = []
-    for m in block.members:
-        if pair not in m:
-            raise MissingPair(f"member {m} lacks {pair}")
-        out.append(tuple(p for p in m if p != pair))
-    return SignedFamily(block.params, tuple(out))
-
-
 def complements_in_tail(free: SignedFamily) -> dict[PlainSet, list[SignedSet]]:
     """Group the free class by support, keyed by the tail complement.
 
@@ -113,25 +98,6 @@ def complements_in_tail(free: SignedFamily) -> dict[PlainSet, list[SignedSet]]:
             raise ContainsOne(f"member {members[0]} contains element 1")
         classes[tuple(x for x in tail if x not in sup)] = members
     return classes
-
-
-def signed_versions(shadow_fam: PlainFamily, r: int) -> SignedFamily:
-    """Every way of signing every member with signs from 1..r.
-
-    The result has exactly r^(member size) * len(shadow_fam) members.
-    Its parameters carry k = member size + 1 (1 for an empty input),
-    matching the pipeline where members one short of k are signed.
-    """
-    base = shadow_fam.size
-    k = 1 if base is None else base + 1
-    params = Params(shadow_fam.ground, k, r)
-    signs = range(1, r + 1)
-    members = tuple(
-        tuple(zip(m, vec))
-        for m in shadow_fam.members
-        for vec in itertools.product(signs, repeat=len(m))
-    )
-    return SignedFamily(params, members)
 
 
 def match_to_shadow(tails: PlainFamily) -> dict[PlainSet, PlainSet]:
@@ -339,8 +305,13 @@ def verify_certificate(cert: InjectionCertificate) -> CertificateReport:
     targets = list(map(itemgetter(1), cert.mapping))
     invalid: list[str] = []
     if not _all_targets_valid(targets, p):
-        # word each failing target's problem, in mapping order; canonicalize the rest
+        # word each failing target's problem, in mapping order; canonicalize
+        # the rest, and leave a misshapen target (None) out of the sharing test
         for i, (s, t) in enumerate(cert.mapping):
+            if not _is_pair_tuple(t):
+                invalid.append(f"target {t!r} of source {s} is not a tuple of integer pairs")
+                targets[i] = None
+                continue
             if (1, 1) not in t:
                 invalid.append(f"target {t} of source {s} misses the pair (1, 1)")
                 continue
@@ -352,7 +323,8 @@ def verify_certificate(cert: InjectionCertificate) -> CertificateReport:
     if len(set(targets)) != len(targets):
         by_target: dict[SignedSet, list[SignedSet]] = {}
         for s, t in zip(sources, targets):
-            by_target.setdefault(t, []).append(s)
+            if t is not None:
+                by_target.setdefault(t, []).append(s)
         for t, srcs in sorted(by_target.items()):
             if len(srcs) > 1:
                 problems.append(f"target {t} is shared by sources {srcs}")
@@ -363,6 +335,14 @@ def verify_certificate(cert: InjectionCertificate) -> CertificateReport:
     return CertificateReport(not problems, len(cert.domain), bound, tuple(problems))
 
 
+def _is_pair_tuple(t) -> bool:
+    """True when t is a tuple of 2-tuples of ints, so it hashes and unpacks."""
+    return type(t) is tuple and all(
+        type(pr) is tuple and len(pr) == 2 and type(pr[0]) is int and type(pr[1]) is int
+        for pr in t
+    )
+
+
 def _all_targets_valid(targets: list, p: Params) -> bool:
     """True when every target is a canonical signed k-set led by (1, 1).
 
@@ -370,24 +350,28 @@ def _all_targets_valid(targets: list, p: Params) -> bool:
     each is a tuple of k pairs led by (1, 1), each distinct pair is an
     in-range (element, sign) tuple of ints, and elements strictly increase
     along each target.  Every such target passes the per-target check;
-    False only means that check must run.
+    False only means that check must run.  A pair that cannot be hashed
+    fails here too, and the per-target check words its problem.
     """
     n, k, r = p.n, p.k, p.r
-    return (
-        set(map(type, targets)) <= {tuple}
-        and set(map(len, targets)) <= {k}
-        and set(map(itemgetter(0), targets)) <= {(1, 1)}
-        and all(
-            type(pr) is tuple
-            and len(pr) == 2
-            and type(pr[0]) is int
-            and type(pr[1]) is int
-            and 1 <= pr[0] <= n
-            and 1 <= pr[1] <= r
-            for pr in set(itertools.chain.from_iterable(targets))
+    try:
+        return (
+            set(map(type, targets)) <= {tuple}
+            and set(map(len, targets)) <= {k}
+            and set(map(itemgetter(0), targets)) <= {(1, 1)}
+            and all(
+                type(pr) is tuple
+                and len(pr) == 2
+                and type(pr[0]) is int
+                and type(pr[1]) is int
+                and 1 <= pr[0] <= n
+                and 1 <= pr[1] <= r
+                for pr in set(itertools.chain.from_iterable(targets))
+            )
+            and all(
+                all(map(lt, map(itemgetter(0), left), map(itemgetter(0), right)))
+                for left, right in itertools.pairwise(zip(*targets))
+            )
         )
-        and all(
-            all(map(lt, map(itemgetter(0), left), map(itemgetter(0), right)))
-            for left, right in itertools.pairwise(zip(*targets))
-        )
-    )
+    except TypeError:
+        return False

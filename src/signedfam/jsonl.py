@@ -1,13 +1,9 @@
-"""Wire formats: family JSONL, plain-family JSONL, certificate JSON.
+"""Wire formats: family JSONL and certificate JSON.
 
 Signed-family JSONL holds one family per line, pairs as two-element
 [element, sign] arrays sorted by element:
 
     {"n":4,"k":2,"r":2,"sets":[[[1,1],[2,2]],[[1,1],[3,1]]]}
-
-Plain-family JSONL:
-
-    {"n":5,"sets":[[2,3],[2,4]]}
 
 Certificate JSON:
 
@@ -25,8 +21,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .core import Params, PlainFamily, SignedFamily, _canonical_family
-from .errors import Error, FormatError
+from .core import Params, SignedFamily, _canonical_family
+from .errors import FormatError
 from .injection import InjectionCertificate
 
 
@@ -35,18 +31,6 @@ from .injection import InjectionCertificate
 #: tuples, ints, strings and dicts, so none can contain itself, and the
 #: check would only add an id-marker entry per container.
 compact_json = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
-
-
-def _json_object(line: str, lineno: int) -> dict:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise FormatError(lineno, f"not valid JSON: {exc}") from None
-    except RecursionError:
-        raise FormatError(lineno, "nested too deeply to parse") from None
-    if not isinstance(obj, dict):
-        raise FormatError(lineno, "expected a JSON object")
-    return obj
 
 
 def signed_family_to_json(fam: SignedFamily) -> str:
@@ -61,7 +45,14 @@ def signed_family_to_json(fam: SignedFamily) -> str:
 
 def parse_signed_family(line: str, lineno: int = 1) -> SignedFamily:
     """Parse one family line, rejecting anything invalid or non-canonical."""
-    obj = _json_object(line, lineno)
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise FormatError(lineno, f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise FormatError(lineno, "nested too deeply to parse") from None
+    if not isinstance(obj, dict):
+        raise FormatError(lineno, "expected a JSON object")
     if set(obj) != {"n", "k", "r", "sets"}:
         raise FormatError(lineno, f"expected keys n, k, r, sets; got {sorted(obj)}")
     # json.loads yields exact list and int objects (bool is its own type),
@@ -115,19 +106,15 @@ def parse_signed_family(line: str, lineno: int = 1) -> SignedFamily:
     return _canonical_family(params, tuple(members))
 
 
-def _parse_lines(lines, parse_line) -> list:
+def parse_signed_families(lines) -> list[SignedFamily]:
     """Parse one family per line; blank lines are errors, numbered from 1."""
     out = []
     for lineno, line in enumerate(lines, start=1):
         text = line.rstrip("\n")
         if not text.strip():
             raise FormatError(lineno, "blank line")
-        out.append(parse_line(text, lineno))
+        out.append(parse_signed_family(text, lineno))
     return out
-
-
-def parse_signed_families(lines) -> list[SignedFamily]:
-    return _parse_lines(lines, parse_signed_family)
 
 
 def read_signed_families(path) -> list[SignedFamily]:
@@ -137,46 +124,6 @@ def read_signed_families(path) -> list[SignedFamily]:
 
 def write_signed_families(path, families) -> None:
     text = "".join(signed_family_to_json(f) + "\n" for f in families)
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
-
-
-def plain_family_to_json(fam: PlainFamily) -> str:
-    obj = {"n": fam.ground, "sets": fam.members}
-    return compact_json(obj)
-
-
-def parse_plain_family(line: str, lineno: int = 1) -> PlainFamily:
-    obj = _json_object(line, lineno)
-    if set(obj) != {"n", "sets"}:
-        raise FormatError(lineno, f"expected keys n, sets; got {sorted(obj)}")
-    if type(obj["n"]) is not int or obj["n"] < 1:
-        raise FormatError(lineno, "n must be a positive integer")
-    if not isinstance(obj["sets"], list):
-        raise FormatError(lineno, "sets must be an array")
-    members = []
-    for si, raw in enumerate(obj["sets"]):
-        if not isinstance(raw, list) or not all(type(x) is int for x in raw):
-            raise FormatError(lineno, f"set {si} must be an array of integers")
-        if any(raw[i] >= raw[i + 1] for i in range(len(raw) - 1)):
-            raise FormatError(lineno, f"set {si} is not strictly sorted")
-        members.append(tuple(raw))
-    try:
-        return PlainFamily(obj["n"], tuple(members))
-    except (Error, ValueError) as exc:
-        raise FormatError(lineno, str(exc)) from None
-
-
-def parse_plain_families(lines) -> list[PlainFamily]:
-    return _parse_lines(lines, parse_plain_family)
-
-
-def read_plain_families(path) -> list[PlainFamily]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_plain_families(fh)
-
-
-def write_plain_families(path, families) -> None:
-    text = "".join(plain_family_to_json(f) + "\n" for f in families)
     Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 

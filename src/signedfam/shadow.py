@@ -1,20 +1,20 @@
-"""Shadows of uniform plain families and the intersection-shadow check.
+"""Shadows of uniform plain families.
 
 The s-shadow of a uniform family collects every s-subset of every
 member.  Containment is read inclusively at equal size (the shadow of
 a family at its own member size is the family itself), and the
 0-shadow of a nonempty family is the one-member family holding the
 empty set.  Both conventions are needed so the downstream pipeline
-degenerates cleanly at 2k = n and at k = 1.
+degenerates cleanly at 2k = n and at k = 1.  The injection's matching
+runs between the tail complements and their (k-1)-shadow.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .core import PlainFamily
-from .errors import NotTIntersecting, SizeExceedsMembers, TooFewMembers
+from .errors import SizeExceedsMembers
 
 
 def shadow_to(fam: PlainFamily, s: int) -> PlainFamily:
@@ -32,54 +32,3 @@ def shadow_to(fam: PlainFamily, s: int) -> PlainFamily:
     for member in fam.members:
         out.update(itertools.combinations(member, s))
     return PlainFamily(fam.ground, tuple(out))
-
-
-def min_pairwise_intersection(fam: PlainFamily) -> int:
-    """Smallest |X & Y| over unordered pairs of distinct members.
-
-    This is the largest t for which the family is t-intersecting.
-    Families with fewer than two members are t-intersecting for every
-    t up to the member size, so the caller decides; here that is an
-    error.
-    """
-    if len(fam) < 2:
-        raise TooFewMembers("need at least 2 members for a pairwise minimum")
-    sets = [set(m) for m in fam.members]
-    best = fam.size
-    for i in range(len(sets)):
-        si = sets[i]
-        for j in range(i + 1, len(sets)):
-            c = len(si & sets[j])
-            if c < best:
-                best = c
-                if best == 0:
-                    return 0
-    return best
-
-
-@dataclass(frozen=True)
-class KatonaReport:
-    shadow_size: int
-    family_size: int
-    holds: bool
-
-
-def katona_check(fam: PlainFamily, t: int) -> KatonaReport:
-    """Compare a t-intersecting family of s-sets against its (s-t)-shadow.
-
-    The precondition that every two members share at least t elements
-    is checked (vacuous below two members); violating it is an error.
-    For valid inputs ``holds`` is a theorem, so a False value indicates
-    an implementation bug and test suites treat it as failure.
-    """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if not fam.members:
-        return KatonaReport(0, 0, True)
-    s = fam.size
-    if t > s:
-        raise SizeExceedsMembers(f"t={t} exceeds member size {s}")
-    if len(fam) >= 2 and min_pairwise_intersection(fam) < t:
-        raise NotTIntersecting(f"family is not {t}-intersecting")
-    sh = shadow_to(fam, s - t)
-    return KatonaReport(len(sh), len(fam), len(sh) >= len(fam))

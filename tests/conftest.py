@@ -1,10 +1,19 @@
-"""Shared builders, reference checks and the proof-step invariant checker."""
+"""Shared builders, reference checks and the proof-step invariant checker.
+
+The references further down are test code, not library code: the
+derived-family helpers the proof-step checker needs, the plain-family
+JSONL codec, and the intersection-shadow (Katona) check that acceptance
+criterion 6 reports.
+"""
 
 from __future__ import annotations
 
 import functools
 import itertools
+import json
 import random
+from dataclasses import dataclass
+from pathlib import Path
 
 from signedfam import (
     Params,
@@ -16,12 +25,12 @@ from signedfam import (
     match_to_shadow,
     partition_family,
     shadow_to,
-    shift_signs_family,
-    signed_versions,
-    strip_first,
+    shift_signs,
     support,
     universe,
 )
+from signedfam.errors import Error, FormatError, SizeExceedsMembers
+from signedfam.jsonl import compact_json
 
 
 def pair_mask(sset, r: int) -> int:
@@ -39,6 +48,166 @@ def pair_mask(sset, r: int) -> int:
 def pairwise_intersecting(fam) -> bool:
     """The all-pairs reference for is_intersecting."""
     return all(intersects(a, b) for a, b in itertools.combinations(fam.members, 2))
+
+
+class MissingPair(Error):
+    """A member lacks the common pair that was to be stripped."""
+
+
+class TooFewMembers(Error):
+    """An operation needs at least two members to be meaningful."""
+
+
+class NotTIntersecting(Error):
+    """A family fails the pairwise intersection floor it was claimed to meet."""
+
+
+def strip_first(block: SignedFamily, i: int) -> SignedFamily:
+    """Remove the common pair (1, i) from every member.
+
+    Removal of a shared pair is injective, so the size is preserved.
+    The members come out one pair short of k.
+    """
+    pair = (1, i)
+    out = []
+    for m in block.members:
+        if pair not in m:
+            raise MissingPair(f"member {m} lacks {pair}")
+        out.append(tuple(p for p in m if p != pair))
+    return SignedFamily(block.params, tuple(out))
+
+
+def signed_versions(shadow_fam: PlainFamily, r: int) -> SignedFamily:
+    """Every way of signing every member with signs from 1..r.
+
+    The result has exactly r^(member size) * len(shadow_fam) members.
+    Its parameters carry k = member size + 1 (1 for an empty input),
+    matching the pipeline where members one short of k are signed.
+    """
+    base = shadow_fam.size
+    k = 1 if base is None else base + 1
+    params = Params(shadow_fam.ground, k, r)
+    signs = range(1, r + 1)
+    members = tuple(
+        tuple(zip(m, vec))
+        for m in shadow_fam.members
+        for vec in itertools.product(signs, repeat=len(m))
+    )
+    return SignedFamily(params, members)
+
+
+def shift_signs_family(fam: SignedFamily, q: int) -> SignedFamily:
+    """Member-wise cyclic sign shift; a bijection, so the size is kept."""
+    r = fam.params.r
+    return SignedFamily(fam.params, tuple(shift_signs(m, q, r) for m in fam.members))
+
+
+def plain_family_to_json(fam: PlainFamily) -> str:
+    """One plain-family JSONL line: {"n":5,"sets":[[2,3],[2,4]]}."""
+    return compact_json({"n": fam.ground, "sets": fam.members})
+
+
+def parse_plain_family(line: str, lineno: int = 1) -> PlainFamily:
+    """Parse one plain-family line, as strictly as the signed-family reader."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise FormatError(lineno, f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise FormatError(lineno, "nested too deeply to parse") from None
+    if not isinstance(obj, dict):
+        raise FormatError(lineno, "expected a JSON object")
+    if set(obj) != {"n", "sets"}:
+        raise FormatError(lineno, f"expected keys n, sets; got {sorted(obj)}")
+    if type(obj["n"]) is not int or obj["n"] < 1:
+        raise FormatError(lineno, "n must be a positive integer")
+    if not isinstance(obj["sets"], list):
+        raise FormatError(lineno, "sets must be an array")
+    members = []
+    for si, raw in enumerate(obj["sets"]):
+        if not isinstance(raw, list) or not all(type(x) is int for x in raw):
+            raise FormatError(lineno, f"set {si} must be an array of integers")
+        if any(raw[i] >= raw[i + 1] for i in range(len(raw) - 1)):
+            raise FormatError(lineno, f"set {si} is not strictly sorted")
+        members.append(tuple(raw))
+    try:
+        return PlainFamily(obj["n"], tuple(members))
+    except (Error, ValueError) as exc:
+        raise FormatError(lineno, str(exc)) from None
+
+
+def parse_plain_families(lines) -> list[PlainFamily]:
+    """Parse one plain family per line; blank lines are errors, numbered from 1."""
+    out = []
+    for lineno, line in enumerate(lines, start=1):
+        text = line.rstrip("\n")
+        if not text.strip():
+            raise FormatError(lineno, "blank line")
+        out.append(parse_plain_family(text, lineno))
+    return out
+
+
+def read_plain_families(path) -> list[PlainFamily]:
+    with open(path, encoding="utf-8") as fh:
+        return parse_plain_families(fh)
+
+
+def write_plain_families(path, families) -> None:
+    text = "".join(plain_family_to_json(f) + "\n" for f in families)
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
+
+
+def min_pairwise_intersection(fam: PlainFamily) -> int:
+    """Smallest |X & Y| over unordered pairs of distinct members.
+
+    This is the largest t for which the family is t-intersecting.
+    Families with fewer than two members are t-intersecting for every
+    t up to the member size, so the caller decides; here that is an
+    error.
+    """
+    if len(fam) < 2:
+        raise TooFewMembers("need at least 2 members for a pairwise minimum")
+    sets = [set(m) for m in fam.members]
+    best = fam.size
+    for i in range(len(sets)):
+        si = sets[i]
+        for j in range(i + 1, len(sets)):
+            c = len(si & sets[j])
+            if c < best:
+                best = c
+                if best == 0:
+                    return 0
+    return best
+
+
+@dataclass(frozen=True)
+class KatonaReport:
+    shadow_size: int
+    family_size: int
+    holds: bool
+
+
+def katona_check(fam: PlainFamily, t: int) -> KatonaReport:
+    """Compare a t-intersecting family of s-sets against its (s-t)-shadow.
+
+    The intersection-shadow inequality (Katona) behind the matching's
+    Hall condition.  The precondition that every two members share at
+    least t elements is checked (vacuous below two members); violating
+    it is an error.  For valid inputs ``holds`` is a theorem, so a False
+    value indicates a bug in shadow_to and test suites treat it as
+    failure.
+    """
+    if t < 0:
+        raise ValueError(f"t must be >= 0, got {t}")
+    if not fam.members:
+        return KatonaReport(0, 0, True)
+    s = fam.size
+    if t > s:
+        raise SizeExceedsMembers(f"t={t} exceeds member size {s}")
+    if len(fam) >= 2 and min_pairwise_intersection(fam) < t:
+        raise NotTIntersecting(f"family is not {t}-intersecting")
+    sh = shadow_to(fam, s - t)
+    return KatonaReport(len(sh), len(fam), len(sh) >= len(fam))
 
 
 #: (6,3,2) Hilton-Milner type: the (1,1) members meeting A, and A itself.

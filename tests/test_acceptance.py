@@ -7,7 +7,7 @@ happen.  All checks are exact; there are no tolerances to tune.
 import itertools
 
 import pytest
-from conftest import pf, proof_step_report, sf
+from conftest import katona_check, min_pairwise_intersection, pf, proof_step_report, sf
 
 from signedfam import (
     Params,
@@ -16,9 +16,7 @@ from signedfam import (
     bound_value,
     enumerate_maximal_intersecting,
     intersects,
-    katona_check,
     max_intersecting_exact,
-    min_pairwise_intersection,
     mod_one_based,
     random_maximal_intersecting,
     shadow_to,

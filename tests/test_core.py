@@ -12,6 +12,7 @@ from conftest import (
     intersecting_corpus,
     pairwise_intersecting,
     sf,
+    shift_signs_family,
 )
 
 from signedfam import (
@@ -24,7 +25,6 @@ from signedfam import (
     make_signed_set,
     mod_one_based,
     shift_signs,
-    shift_signs_family,
     star,
     support,
     universe,

@@ -5,11 +5,14 @@ import itertools
 
 import pytest
 from conftest import (
+    MissingPair,
     intersecting_corpus,
     pairwise_intersecting,
     pf,
     proof_step_report,
     sf,
+    signed_versions,
+    strip_first,
 )
 
 from signedfam import (
@@ -21,9 +24,7 @@ from signedfam import (
     partition_family,
     random_maximal_intersecting,
     sign_assign,
-    signed_versions,
     star,
-    strip_first,
     support,
     universe,
     verify_certificate,
@@ -33,7 +34,6 @@ from signedfam.errors import (
     ContainsOne,
     Error,
     GroupOverflow,
-    MissingPair,
     NoPerfectMatching,
     NotIntersecting,
     UnsupportedRange,
@@ -269,6 +269,37 @@ def test_verify_certificate_flags_relabelled_params():
     assert rep.problems == (
         "certificate params Params(n=5, k=2, r=2) differ from the domain's "
         "Params(n=4, k=2, r=2)",
+    )
+
+
+def _misshapen(cert, targets):
+    """cert with mapping entry i retargeted to targets[i], for each i given."""
+    mapping = list(cert.mapping)
+    for i, t in targets.items():
+        mapping[i] = (mapping[i][0], t)
+    return dataclasses.replace(cert, mapping=tuple(mapping))
+
+
+@pytest.mark.parametrize("target", [((1, 1), [2, 1]), 7, ((1, 1), (2,))])
+def test_verify_certificate_reports_misshapen_target(target):
+    # not a tuple of integer pairs: reported, where hashing or unpacking it would raise
+    cert = assemble_injection(star(Params(4, 2, 2)))
+    rep = verify_certificate(_misshapen(cert, {1: target}))
+    assert not rep.ok
+    assert rep.problems == (
+        f"target {target!r} of source {cert.mapping[1][0]} is not a tuple of integer pairs",
+    )
+
+
+def test_verify_certificate_reports_misshapen_targets_in_mapping_order():
+    # two equal misshapen targets are not reported as shared; a real share still is
+    cert = assemble_injection(star(Params(4, 2, 2)))
+    (s0, t0), (s1, _), (s2, _), (s3, _) = cert.mapping[:4]
+    rep = verify_certificate(_misshapen(cert, {3: 7, 1: 7, 2: t0}))
+    assert rep.problems == (
+        f"target {t0} is shared by sources {[s0, s2]}",
+        f"target 7 of source {s1} is not a tuple of integer pairs",
+        f"target 7 of source {s3} is not a tuple of integer pairs",
     )
 
 

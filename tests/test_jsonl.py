@@ -3,7 +3,16 @@
 import json
 
 import pytest
-from conftest import free_tails, pf, sf
+from conftest import (
+    free_tails,
+    parse_plain_families,
+    parse_plain_family,
+    pf,
+    plain_family_to_json,
+    read_plain_families,
+    sf,
+    write_plain_families,
+)
 
 from signedfam import (
     Params,
@@ -18,11 +27,8 @@ from signedfam import (
 from signedfam.errors import FormatError
 from signedfam.jsonl import (
     certificate_to_json,
-    parse_plain_families,
-    parse_plain_family,
     parse_signed_families,
     parse_signed_family,
-    plain_family_to_json,
     read_signed_families,
     signed_family_to_json,
     write_signed_families,
@@ -151,8 +157,6 @@ def test_plain_families_multi_line():
 
 
 def test_plain_family_file_round_trip(tmp_path):
-    from signedfam.jsonl import read_plain_families, write_plain_families
-
     path = tmp_path / "plain.jsonl"
     fams = [pf(5, [[2, 3], [2, 4]]), pf(6, [[2, 3, 4]])]
     write_plain_families(path, fams)

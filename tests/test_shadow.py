@@ -3,15 +3,16 @@
 import itertools
 
 import pytest
-from conftest import pf
-
-from signedfam import (
-    SplitMix64,
+from conftest import (
+    NotTIntersecting,
+    TooFewMembers,
     katona_check,
     min_pairwise_intersection,
-    shadow_to,
+    pf,
 )
-from signedfam.errors import NotTIntersecting, SizeExceedsMembers, TooFewMembers
+
+from signedfam import SplitMix64, shadow_to
+from signedfam.errors import SizeExceedsMembers
 
 
 def test_shadow_basic_expansion():

@@ -1,0 +1,79 @@
+"""The public surface: what `signedfam` exports, and what it no longer does."""
+
+import importlib
+
+import pytest
+
+import signedfam
+
+PUBLIC = [
+    "BoundReport",
+    "CertificateReport",
+    "DEFAULT_CAP",
+    "DEFAULT_NODE_BUDGET",
+    "InjectionCertificate",
+    "Pair",
+    "Params",
+    "Partition",
+    "PlainFamily",
+    "PlainSet",
+    "SearchResult",
+    "SignedFamily",
+    "SignedSet",
+    "SplitMix64",
+    "assemble_injection",
+    "bound_value",
+    "complements_in_tail",
+    "enumerate_maximal_intersecting",
+    "errors",
+    "intersects",
+    "is_intersecting",
+    "jsonl",
+    "make_signed_set",
+    "match_to_shadow",
+    "max_intersecting_exact",
+    "mod_one_based",
+    "partition_family",
+    "random_maximal_intersecting",
+    "shadow_to",
+    "shift_signs",
+    "sign_assign",
+    "star",
+    "support",
+    "universe",
+    "verify_bound",
+    "verify_certificate",
+]
+
+#: Helpers only tests called; they live in tests/conftest.py as references.
+TEST_ONLY = [
+    "strip_first",
+    "MissingPair",
+    "signed_versions",
+    "shift_signs_family",
+    "plain_family_to_json",
+    "parse_plain_family",
+    "parse_plain_families",
+    "read_plain_families",
+    "write_plain_families",
+    "katona_check",
+    "min_pairwise_intersection",
+    "KatonaReport",
+    "TooFewMembers",
+    "NotTIntersecting",
+]
+
+MODULES = ["signedfam"] + [
+    f"signedfam.{name}" for name in ("core", "injection", "shadow", "jsonl", "errors")
+]
+
+
+def test_all_lists_the_public_names():
+    assert sorted(signedfam.__all__) == PUBLIC
+    assert [name for name in PUBLIC if not hasattr(signedfam, name)] == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_test_only_names_are_not_in_the_library(module):
+    mod = importlib.import_module(module)
+    assert [name for name in TEST_ONLY if hasattr(mod, name)] == []
