@@ -19,14 +19,7 @@ import argparse
 import sys
 
 from .core import DEFAULT_CAP, Params, bound_value, star, universe
-from .errors import (
-    CapExceeded,
-    Error,
-    FormatError,
-    NotIntersecting,
-    TooLarge,
-    UnsupportedRange,
-)
+from .errors import Error, FormatError, NotIntersecting, TooLarge, UnsupportedRange
 from .injection import assemble_injection
 from .jsonl import (
     certificate_to_json,
@@ -209,13 +202,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
+    except (FormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (TooLarge, CapExceeded) as exc:
+    except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NotIntersecting as exc:

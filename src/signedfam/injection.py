@@ -21,6 +21,7 @@ fixed input always produces a bit-identical certificate.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter, lt
 
@@ -213,20 +214,40 @@ def sign_assign(
 class InjectionCertificate:
     """Explicit injective map from a family into the star at (1, 1).
 
-    block_sizes lists the partition class sizes, free class first and
-    then one entry per sign.
+    targets[i] is the image of domain.members[i].  Everything else is
+    read off the domain: params, the (source, target) mapping, and
+    block_sizes, the partition class sizes (free class first, then one
+    entry per sign), so none of it can disagree with the domain.
     """
 
-    params: Params
     domain: SignedFamily
-    mapping: tuple[tuple[SignedSet, SignedSet], ...]
-    block_sizes: tuple[int, ...]
+    targets: tuple[SignedSet, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.targets) != len(self.domain):
+            raise ValueError(
+                f"{len(self.targets)} targets for a domain of {len(self.domain)} members"
+            )
+
+    @property
+    def params(self) -> Params:
+        return self.domain.params
+
+    @property
+    def mapping(self) -> tuple[tuple[SignedSet, SignedSet], ...]:
+        return tuple(zip(self.domain.members, self.targets))
+
+    @property
+    def block_sizes(self) -> tuple[int, ...]:
+        # partition_family's rule: a member's first pair decides its block
+        firsts = Counter(map(itemgetter(slice(1)), self.domain.members))
+        anchored = tuple(firsts[((1, i),)] for i in range(1, self.params.r + 1))
+        return (len(self.domain) - sum(anchored),) + anchored
 
 
 @dataclass(frozen=True)
 class CertificateReport:
     ok: bool
-    domain_size: int
     bound: int
     problems: tuple[str, ...]
 
@@ -259,15 +280,7 @@ def assemble_injection(fam: SignedFamily) -> InjectionCertificate:
     for m, housed in sign_assign(classes, matching, p.r).items():
         # housed is sorted over elements >= 2, so (1, 1) goes first
         images[m] = ((1, 1),) + housed
-    # the domain's members are distinct and sorted, so listing the pairs
-    # in domain order lists them sorted
-    members = fam.members
-    cert = InjectionCertificate(
-        params=p,
-        domain=fam,
-        mapping=tuple(zip(members, map(images.__getitem__, members))),
-        block_sizes=(len(part.free),) + tuple(len(b) for b in part.anchored),
-    )
+    cert = InjectionCertificate(fam, tuple(map(images.__getitem__, fam.members)))
     report = verify_certificate(cert)
     if not report.ok:
         raise VerificationFailed("; ".join(report.problems))
@@ -277,37 +290,22 @@ def assemble_injection(fam: SignedFamily) -> InjectionCertificate:
 def verify_certificate(cert: InjectionCertificate) -> CertificateReport:
     """Re-check a certificate from scratch, trusting nothing.
 
-    Confirms the certificate's params are the domain's, the mapping is
-    total on the domain, targets are distinct as sets, every target
-    contains (1, 1) and is a valid signed k-set, and the domain size
-    respects the extremal bound.  Failures are report content and name
-    the offending pairs; nothing is raised.
+    The certificate gives one target per domain member, so the mapping
+    is total on the domain by construction.  Confirms the targets are
+    distinct as sets, every target contains (1, 1) and is a valid
+    signed k-set, and the domain size respects the extremal bound.
+    Failures are report content and name the offending pairs; nothing
+    is raised.
     """
     problems: list[str] = []
     p = cert.params
-    if p != cert.domain.params:
-        problems.append(
-            f"certificate params {p} differ from the domain's {cert.domain.params}"
-        )
-    sources = tuple(map(itemgetter(0), cert.mapping))
-    # a mapping listing exactly the domain's members in order, the shape
-    # assemble_injection emits, has no repeated, missing or extra source
-    if sources != cert.domain.members:
-        source_set = set(sources)
-        if len(source_set) != len(sources):
-            problems.append("a source appears more than once in the mapping")
-        missing = cert.domain.member_set - source_set
-        if missing:
-            problems.append(f"domain members without an image: {sorted(missing)}")
-        extra = source_set - cert.domain.member_set
-        if extra:
-            problems.append(f"mapped sources outside the domain: {sorted(extra)}")
-    targets = list(map(itemgetter(1), cert.mapping))
+    sources = cert.domain.members
+    targets = list(cert.targets)
     invalid: list[str] = []
     if not _all_targets_valid(targets, p):
-        # word each failing target's problem, in mapping order; canonicalize
+        # word each failing target's problem, in domain order; canonicalize
         # the rest, and leave a misshapen target (None) out of the sharing test
-        for i, (s, t) in enumerate(cert.mapping):
+        for i, (s, t) in enumerate(zip(sources, cert.targets)):
             if not _is_pair_tuple(t):
                 invalid.append(f"target {t!r} of source {s} is not a tuple of integer pairs")
                 targets[i] = None
@@ -332,7 +330,7 @@ def verify_certificate(cert: InjectionCertificate) -> CertificateReport:
     bound = bound_value(p)
     if len(cert.domain) > bound:
         problems.append(f"domain size {len(cert.domain)} exceeds the bound {bound}")
-    return CertificateReport(not problems, len(cert.domain), bound, tuple(problems))
+    return CertificateReport(not problems, bound, tuple(problems))
 
 
 def _is_pair_tuple(t) -> bool:

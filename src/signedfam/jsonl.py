@@ -129,10 +129,11 @@ def write_signed_families(path, families) -> None:
 
 def certificate_to_json(cert: InjectionCertificate) -> str:
     """Serialize a certificate; byte-identical for equal certificates."""
+    blocks = cert.block_sizes
     obj = {
         "params": {"n": cert.params.n, "k": cert.params.k, "r": cert.params.r},
-        "map": [{"from": s, "to": t} for s, t in cert.mapping],
-        "blocks": {"a0": cert.block_sizes[0], "a": cert.block_sizes[1:]},
+        "map": [{"from": s, "to": t} for s, t in zip(cert.domain.members, cert.targets)],
+        "blocks": {"a0": blocks[0], "a": blocks[1:]},
     }
     return compact_json(obj)
 

@@ -198,7 +198,7 @@ def test_internal_fault_exit_1(capsys, monkeypatch, fault, line):
 def plant_failing_report(monkeypatch, problem):
     def verify(cert):
         bound = bound_value(cert.params)
-        return CertificateReport(False, len(cert.domain), bound, (problem,))
+        return CertificateReport(False, bound, (problem,))
 
     monkeypatch.setattr("signedfam.injection.verify_certificate", verify)
 

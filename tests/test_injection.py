@@ -16,8 +16,10 @@ from conftest import (
 )
 
 from signedfam import (
+    InjectionCertificate,
     Params,
     PlainFamily,
+    SignedFamily,
     assemble_injection,
     complements_in_tail,
     match_to_shadow,
@@ -230,16 +232,8 @@ def test_assemble_rejects_non_intersecting():
 
 def test_verify_certificate_flags_shared_target():
     cert = assemble_injection(six_sets_through_pair_2_1())
-    first_target = cert.mapping[0][1]
-    tampered = cert.mapping[:2] + tuple(
-        (src, first_target) for src, _ in cert.mapping[2:3]
-    ) + cert.mapping[3:]
-    bad = type(cert)(
-        params=cert.params,
-        domain=cert.domain,
-        mapping=tampered,
-        block_sizes=cert.block_sizes,
-    )
+    tampered = cert.targets[:2] + cert.targets[:1] + cert.targets[3:]
+    bad = type(cert)(domain=cert.domain, targets=tampered)
     rep = verify_certificate(bad)
     assert not rep.ok
     assert any("shared" in msg for msg in rep.problems)
@@ -247,37 +241,30 @@ def test_verify_certificate_flags_shared_target():
 
 def test_verify_certificate_flags_missing_anchor_pair():
     cert = assemble_injection(star(Params(4, 2, 2)))
-    mapping = ((cert.mapping[0][0], ((2, 1), (3, 1))),) + cert.mapping[1:]
-    bad = type(cert)(
-        params=cert.params,
-        domain=cert.domain,
-        mapping=mapping,
-        block_sizes=cert.block_sizes,
-    )
+    bad = type(cert)(domain=cert.domain, targets=(((2, 1), (3, 1)),) + cert.targets[1:])
     rep = verify_certificate(bad)
     assert not rep.ok
     assert any("(1, 1)" in msg for msg in rep.problems)
 
 
-def test_verify_certificate_flags_relabelled_params():
-    # at (5,2,2) the bound is 8, so the (4,2,2) star's 6 members would fit
+def test_block_sizes_are_the_partition_class_sizes():
+    # block_sizes is read off the domain by partition_family's rule, whatever the targets
+    families = [fam for _, fam in intersecting_corpus()] + [c.domain for c in SEEDED_CERTS]
+    for fam in families:
+        part = partition_family(fam)
+        want = (len(part.free),) + tuple(len(b) for b in part.anchored)
+        assert InjectionCertificate(fam, fam.members).block_sizes == want, fam
     cert = assemble_injection(star(Params(4, 2, 2)))
-    cert = dataclasses.replace(cert, params=Params(5, 2, 2))
-    rep = verify_certificate(cert)
-    assert not rep.ok
-    assert rep.bound == 8
-    assert rep.problems == (
-        "certificate params Params(n=5, k=2, r=2) differ from the domain's "
-        "Params(n=4, k=2, r=2)",
-    )
+    with pytest.raises(TypeError, match="block_sizes"):
+        dataclasses.replace(cert, block_sizes=(99, 0, 0))
 
 
 def _misshapen(cert, targets):
-    """cert with mapping entry i retargeted to targets[i], for each i given."""
-    mapping = list(cert.mapping)
+    """cert with target i replaced by targets[i], for each i given."""
+    edited = list(cert.targets)
     for i, t in targets.items():
-        mapping[i] = (mapping[i][0], t)
-    return dataclasses.replace(cert, mapping=tuple(mapping))
+        edited[i] = t
+    return dataclasses.replace(cert, targets=tuple(edited))
 
 
 @pytest.mark.parametrize("target", [((1, 1), [2, 1]), 7, ((1, 1), (2,))])
@@ -287,14 +274,15 @@ def test_verify_certificate_reports_misshapen_target(target):
     rep = verify_certificate(_misshapen(cert, {1: target}))
     assert not rep.ok
     assert rep.problems == (
-        f"target {target!r} of source {cert.mapping[1][0]} is not a tuple of integer pairs",
+        f"target {target!r} of source {cert.domain.members[1]} is not a tuple of integer pairs",
     )
 
 
 def test_verify_certificate_reports_misshapen_targets_in_mapping_order():
     # two equal misshapen targets are not reported as shared; a real share still is
     cert = assemble_injection(star(Params(4, 2, 2)))
-    (s0, t0), (s1, _), (s2, _), (s3, _) = cert.mapping[:4]
+    s0, s1, s2, s3 = cert.domain.members[:4]
+    t0 = cert.targets[0]
     rep = verify_certificate(_misshapen(cert, {3: 7, 1: 7, 2: t0}))
     assert rep.problems == (
         f"target {t0} is shared by sources {[s0, s2]}",
@@ -375,9 +363,7 @@ def reference_verify_certificate(cert):
     bound = bound_value(p)
     if len(cert.domain) > bound:
         problems.append(f"domain size {len(cert.domain)} exceeds the bound {bound}")
-    return type(verify_certificate(cert))(
-        not problems, len(cert.domain), bound, tuple(problems)
-    )
+    return type(verify_certificate(cert))(not problems, bound, tuple(problems))
 
 
 SEEDED_CERTS = [
@@ -444,58 +430,92 @@ def test_verify_certificate_matches_reference_on_valid():
 
 
 def _retarget(i, new_target):
-    """Corrupt the target of mapping entry i."""
+    """Corrupt target i."""
 
     def corrupt(cert):
-        m = list(cert.mapping)
-        m[i] = (m[i][0], new_target(cert.params, m[i][1]))
-        return dataclasses.replace(cert, mapping=tuple(m))
+        t = list(cert.targets)
+        t[i] = new_target(cert.params, t[i])
+        return dataclasses.replace(cert, targets=tuple(t))
 
     return corrupt
 
 
 def _remap(edit):
-    return lambda cert: dataclasses.replace(cert, mapping=tuple(edit(list(cert.mapping))))
+    return lambda cert: dataclasses.replace(cert, targets=tuple(edit(list(cert.targets))))
 
 
-def _extra_source(cert):
-    used = {t for _, t in cert.mapping}
-    src = next(m for m in universe(cert.params).members if m not in cert.domain)
-    # a star-sized domain leaves no free target; the extra then shares one
-    tgt = next((m for m in star(cert.params).members if m not in used), cert.mapping[0][1])
-    return dataclasses.replace(cert, mapping=cert.mapping + ((src, tgt),))
+def _without_anchor(p, t):
+    return tuple((x, 1) for x in range(2, p.k + 2))
+
+
+def _sign_above_range(p, t):
+    return t[:-1] + ((t[-1][0], p.r + 1),)
+
+
+_shared_target = _remap(lambda t: t[:2] + [t[0]] + t[3:])
+
+
+def _universe_to_itself(cert):
+    u = universe(cert.params)
+    return InjectionCertificate(u, u.members)
 
 
 CORRUPTIONS = {
-    "duplicate source": _remap(lambda m: m[:1] + [(m[0][0], m[1][1])] + m[2:]),
-    "missing source": _remap(lambda m: m[:3] + m[4:]),
-    "extra source": _extra_source,
-    "shared target": _remap(lambda m: m[:2] + [(m[2][0], m[0][1])] + m[3:]),
-    "target without (1, 1)": _retarget(
-        1, lambda p, t: tuple((x, 1) for x in range(2, p.k + 2))
-    ),
+    "shared target": _shared_target,
+    "target without (1, 1)": _retarget(1, _without_anchor),
     "out-of-range element": _retarget(2, lambda p, t: t[:-1] + ((p.n + 1, 1),)),
     "element below range": _retarget(0, lambda p, t: t[:1] + ((0, 1),) + t[2:]),
-    "out-of-range sign": _retarget(3, lambda p, t: t[:-1] + ((t[-1][0], p.r + 1),)),
+    "out-of-range sign": _retarget(3, _sign_above_range),
     "sign zero": _retarget(-1, lambda p, t: t[:-1] + ((t[-1][0], 0),)),
     "repeated element": _retarget(4, lambda p, t: t[:-1] + ((t[-2][0], t[-1][1]),)),
     "wrong size": _retarget(5, lambda p, t: t[:-1]),
     "reordered target": _retarget(6, lambda p, t: t[::-1]),
     "one set in two pair orders": _remap(
-        lambda m: m[:1] + [(m[1][0], m[0][1][:-2] + m[0][1][:-3:-1])] + m[2:]
+        lambda t: t[:1] + [t[0][:-2] + t[0][:-3:-1]] + t[2:]
     ),
-    "domain over the bound": lambda cert: dataclasses.replace(
-        cert, domain=universe(cert.params)
-    ),
-    "relabelled params": lambda cert: dataclasses.replace(
-        cert, params=Params(cert.params.n + 1, cert.params.k, cert.params.r)
-    ),
-    "several faults": lambda cert: _extra_source(
-        _retarget(1, lambda p, t: t[:-1])(
-            _remap(lambda m: m[:2] + [(m[2][0], m[0][1])] + m[4:] + [m[5]])(cert)
-        )
+    "domain over the bound": _universe_to_itself,
+    "several faults": lambda cert: _retarget(4, _without_anchor)(
+        _retarget(3, _sign_above_range)(_retarget(1, lambda p, t: t[:-1])(_shared_target(cert)))
     ),
 }
+
+#: Faults a certificate can no longer state: the sources are the domain's
+#: members and params is the domain's, so each is refused on construction.
+UNSTATABLE = {
+    "duplicate source": (
+        lambda cert: InjectionCertificate(
+            SignedFamily(cert.params, cert.domain.members[:1] * 2 + cert.domain.members[2:]),
+            cert.targets,
+        ),
+        ValueError,
+        "duplicate member",
+    ),
+    "missing source": (
+        lambda cert: InjectionCertificate(cert.domain, cert.targets[:3] + cert.targets[4:]),
+        ValueError,
+        "targets for a domain of",
+    ),
+    "extra source": (
+        lambda cert: InjectionCertificate(cert.domain, cert.targets + cert.targets[:1]),
+        ValueError,
+        "targets for a domain of",
+    ),
+    "relabelled params": (
+        lambda cert: dataclasses.replace(
+            cert, params=Params(cert.params.n + 1, cert.params.k, cert.params.r)
+        ),
+        TypeError,
+        "params",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(UNSTATABLE))
+def test_unstatable_corruptions_cannot_be_built(name):
+    build, error, text = UNSTATABLE[name]
+    for cert in SEEDED_CERTS[::4]:
+        with pytest.raises(error, match=text):
+            build(cert)
 
 
 @pytest.mark.parametrize("name", list(CORRUPTIONS))

@@ -1,5 +1,6 @@
 """The public surface: what `signedfam` exports, and what it no longer does."""
 
+import dataclasses
 import importlib
 
 import pytest
@@ -77,3 +78,14 @@ def test_all_lists_the_public_names():
 def test_test_only_names_are_not_in_the_library(module):
     mod = importlib.import_module(module)
     assert [name for name in TEST_ONLY if hasattr(mod, name)] == []
+
+
+def test_certificate_holds_only_its_domain_and_targets():
+    # params, mapping and block_sizes are read off the domain, so they cannot disagree
+    fields = [f.name for f in dataclasses.fields(signedfam.InjectionCertificate)]
+    assert fields == ["domain", "targets"]
+    assert [f.name for f in dataclasses.fields(signedfam.CertificateReport)] == [
+        "ok",
+        "bound",
+        "problems",
+    ]
