@@ -247,6 +247,29 @@ def test_verify_certificate_flags_missing_anchor_pair():
     assert any("(1, 1)" in msg for msg in rep.problems)
 
 
+def _relabelled(cert, params):
+    """cert with its domain's members relabelled to params, targets kept."""
+    return InjectionCertificate(SignedFamily(params, cert.domain.members), cert.targets)
+
+
+def test_verify_certificate_flags_relabelled_params():
+    # params is the domain's, so relabelling the certificate relabels its domain,
+    # and the targets are judged against the new params
+    cert = assemble_injection(star(Params(4, 2, 2)))
+    # at (5,2,2) the bound is 8 and the star's 6 targets are valid: nothing disagrees
+    rep = verify_certificate(_relabelled(cert, Params(5, 2, 2)))
+    assert rep.ok
+    assert rep.bound == 8
+    # at (4,3,2) every 2-pair target has the wrong size
+    rep = verify_certificate(_relabelled(cert, Params(4, 3, 2)))
+    assert not rep.ok
+    assert rep.bound == 12
+    assert rep.problems == tuple(
+        f"target {t} of source {s} is invalid: expected 3 pairs, got 2"
+        for s, t in cert.mapping
+    )
+
+
 def test_block_sizes_are_the_partition_class_sizes():
     # block_sizes is read off the domain by partition_family's rule, whatever the targets
     families = [fam for _, fam in intersecting_corpus()] + [c.domain for c in SEEDED_CERTS]
@@ -474,6 +497,9 @@ CORRUPTIONS = {
         lambda t: t[:1] + [t[0][:-2] + t[0][:-3:-1]] + t[2:]
     ),
     "domain over the bound": _universe_to_itself,
+    "relabelled params": lambda cert: _relabelled(
+        cert, Params(cert.params.n, cert.params.k + 1, cert.params.r)
+    ),
     "several faults": lambda cert: _retarget(4, _without_anchor)(
         _retarget(3, _sign_above_range)(_retarget(1, lambda p, t: t[:-1])(_shared_target(cert)))
     ),
