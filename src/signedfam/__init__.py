@@ -37,13 +37,11 @@ from .injection import (
 )
 from .search import (
     DEFAULT_NODE_BUDGET,
-    BoundReport,
     SearchResult,
     SplitMix64,
     enumerate_maximal_intersecting,
     max_intersecting_exact,
     random_maximal_intersecting,
-    verify_bound,
 )
 from .shadow import shadow_to
 from . import errors, jsonl
@@ -51,7 +49,6 @@ from . import errors, jsonl
 __all__ = [
     "DEFAULT_CAP",
     "DEFAULT_NODE_BUDGET",
-    "BoundReport",
     "CertificateReport",
     "InjectionCertificate",
     "Pair",
@@ -83,6 +80,5 @@ __all__ = [
     "star",
     "support",
     "universe",
-    "verify_bound",
     "verify_certificate",
 ]

@@ -247,9 +247,11 @@ class InjectionCertificate:
 
 @dataclass(frozen=True)
 class CertificateReport:
-    ok: bool
-    bound: int
     problems: tuple[str, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.problems
 
 
 def assemble_injection(fam: SignedFamily) -> InjectionCertificate:
@@ -330,7 +332,7 @@ def verify_certificate(cert: InjectionCertificate) -> CertificateReport:
     bound = bound_value(p)
     if len(cert.domain) > bound:
         problems.append(f"domain size {len(cert.domain)} exceeds the bound {bound}")
-    return CertificateReport(not problems, bound, tuple(problems))
+    return CertificateReport(tuple(problems))
 
 
 def _is_pair_tuple(t) -> bool:

@@ -40,7 +40,6 @@ from .core import (
     SignedFamily,
     _canonical_family,
     _cover_rows,
-    bound_value,
     universe,
 )
 from .errors import CapExceeded, TooLarge
@@ -126,27 +125,17 @@ class SearchResult:
     """Outcome of an exact search.
 
     exhausted = True means the search tree was fully explored within
-    the node budget and max_size is proven optimal; otherwise max_size
-    is only the best lower bound found.  The witness is always an
-    intersecting family of exactly max_size members.
+    the node budget and the witness is a maximum intersecting family;
+    otherwise it is only the largest one found.
     """
 
-    max_size: int
     witness: SignedFamily
     nodes_explored: int
     exhausted: bool
 
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Comparison of the exact search outcome against the formula bound."""
-
-    params: Params
-    max_size: int
-    bound: int
-    matches: bool
-    conclusive: bool
-    nodes_explored: int
+    @property
+    def max_size(self) -> int:
+        return len(self.witness)
 
 
 #: Cached graphs by Params, least recently used first.
@@ -206,7 +195,7 @@ def max_intersecting_exact(
     bounded by the root colour count, since by transitivity some
     maximum clique contains vertex 0.  Nodes are search-tree
     expansions; when the budget runs out the best clique so far is
-    returned with exhausted = False.
+    returned with exhausted = False and nodes_explored = node_budget.
     """
     verts, adj = _intersection_graph(params)
     nv = len(verts)
@@ -218,10 +207,10 @@ def max_intersecting_exact(
 
     def expand(p_mask: int) -> None:
         nonlocal nodes, best_size, best_clique, aborted
-        nodes += 1
-        if nodes > node_budget:
+        if nodes >= node_budget:
             aborted = True
             return
+        nodes += 1
         # greedy colouring; colour numbers bound any clique inside p_mask
         col_order: list[int] = []
         col_bound: list[int] = []
@@ -262,7 +251,6 @@ def max_intersecting_exact(
     if nv:
         expand((1 << nv) - 1)
     return SearchResult(
-        max_size=best_size,
         witness=_canonical_family(params, tuple(verts[v] for v in sorted(best_clique))),
         nodes_explored=nodes,
         exhausted=not aborted,
@@ -349,24 +337,3 @@ def random_maximal_intersecting(params: Params, seed: int) -> SignedFamily:
     chosen = sorted(_greedy_clique(adj, idx))
     return _canonical_family(params, tuple(verts[i] for i in chosen))
 
-
-def verify_bound(
-    params: Params, node_budget: int = DEFAULT_NODE_BUDGET
-) -> BoundReport:
-    """Run the exact search and compare it with the formula bound.
-
-    For r >= 2 the two agree on every feasible instance; for r = 1 and
-    2k > n the search exceeds the formula, which is the reason the
-    injection refuses r = 1.  An exhausted budget makes the report
-    inconclusive rather than wrong.
-    """
-    res = max_intersecting_exact(params, node_budget=node_budget)
-    bound = bound_value(params)
-    return BoundReport(
-        params=params,
-        max_size=res.max_size,
-        bound=bound,
-        matches=res.max_size == bound,
-        conclusive=res.exhausted,
-        nodes_explored=res.nodes_explored,
-    )

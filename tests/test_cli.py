@@ -8,7 +8,6 @@ from signedfam import (
     CertificateReport,
     Params,
     assemble_injection,
-    bound_value,
     star,
 )
 from signedfam.cli import main
@@ -136,6 +135,32 @@ def test_verify_bound_json(capsys):
     obj = json.loads(stdout)
     assert obj["max_size"] == obj["bound"] == 9
     assert obj["matches"] and obj["conclusive"]
+    assert stdout == (
+        '{"params":{"n":4,"k":2,"r":3},"max_size":9,"bound":9,'
+        '"matches":true,"conclusive":true,"nodes_explored":2}\n'
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (
+            ["-n", "3", "-k", "2", "-r", "1"],
+            '{"params":{"n":3,"k":2,"r":1},"max_size":3,"bound":2,'
+            '"matches":false,"conclusive":true,"nodes_explored":1}',
+        ),
+        (
+            ["-n", "9", "-k", "4", "-r", "2", "--budget", "5"],
+            '{"params":{"n":9,"k":4,"r":2},"max_size":448,"bound":448,'
+            '"matches":true,"conclusive":false,"nodes_explored":5}',
+        ),
+    ],
+)
+def test_verify_bound_json_bytes(capsys, argv, line):
+    # keys in this order; an aborted run reports exactly its budget of nodes
+    code, stdout, _ = run(capsys, "verify-bound", *argv, "--json")
+    assert code == 0
+    assert stdout == line + "\n"
 
 
 def test_search_human_and_json(capsys):
@@ -197,8 +222,7 @@ def test_internal_fault_exit_1(capsys, monkeypatch, fault, line):
 
 def plant_failing_report(monkeypatch, problem):
     def verify(cert):
-        bound = bound_value(cert.params)
-        return CertificateReport(False, bound, (problem,))
+        return CertificateReport((problem,))
 
     monkeypatch.setattr("signedfam.injection.verify_certificate", verify)
 

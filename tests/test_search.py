@@ -18,7 +18,6 @@ from signedfam import (
     partition_family,
     random_maximal_intersecting,
     universe,
-    verify_bound,
 )
 from signedfam import search
 from signedfam.cli import main
@@ -186,17 +185,17 @@ def test_random_family_maximal_and_bounded():
 
 
 def test_verify_bound_reports():
-    rep = verify_bound(Params(4, 2, 3))
-    assert rep.matches and rep.conclusive
-    assert rep.max_size == rep.bound == 9
-    rep = verify_bound(Params(6, 3, 2))
-    assert rep.matches and rep.conclusive
-    assert rep.max_size == rep.bound == 40
-    rep = verify_bound(Params(3, 2, 1))
-    assert rep.conclusive and not rep.matches
-    assert (rep.max_size, rep.bound) == (3, 2)
-    rep = verify_bound(Params(5, 2, 2), node_budget=1)
-    assert not rep.conclusive
+    res = max_intersecting_exact(Params(4, 2, 3))
+    assert res.exhausted
+    assert res.max_size == bound_value(Params(4, 2, 3)) == 9
+    res = max_intersecting_exact(Params(6, 3, 2))
+    assert res.exhausted
+    assert res.max_size == bound_value(Params(6, 3, 2)) == 40
+    res = max_intersecting_exact(Params(3, 2, 1))
+    assert res.exhausted
+    assert (res.max_size, bound_value(Params(3, 2, 1))) == (3, 2)
+    res = max_intersecting_exact(Params(5, 2, 2), node_budget=1)
+    assert not res.exhausted
 
 
 def pairwise_graph(params):
@@ -379,10 +378,10 @@ def test_enumerate_cap_partial_matches_generator_pivot_reference(cap):
 
 
 def test_verify_bound_10_5_2_in_one_node():
-    rep = verify_bound(Params(10, 5, 2))
-    assert rep.conclusive and rep.matches
-    assert rep.max_size == rep.bound == 2016
-    assert rep.nodes_explored == 1
+    res = max_intersecting_exact(Params(10, 5, 2))
+    assert res.exhausted
+    assert res.max_size == bound_value(Params(10, 5, 2)) == 2016
+    assert res.nodes_explored == 1
 
 
 def refuse_universe(*args, **kwargs):
@@ -445,7 +444,6 @@ def test_graph_cache_keyed_on_params_alone(monkeypatch):
     p = Params(5, 2, 2)
     max_intersecting_exact(p)
     random_maximal_intersecting(p, 3)
-    verify_bound(p, node_budget=50)
     enumerate_maximal_intersecting(Params(5, 2, 2), cap=5000)  # an equal key, not p itself
     assert builds == [p]
     assert list(search._graphs) == [p]
@@ -506,6 +504,14 @@ def test_exact_finds_maximum_from_a_one_vertex_incumbent(monkeypatch, params):
 
 def test_exact_budget_aborts_mid_loop():
     res = max_intersecting_exact(Params(9, 4, 2), node_budget=5)
-    assert (res.max_size, res.nodes_explored, res.exhausted) == (448, 6, False)
+    assert (res.max_size, res.nodes_explored, res.exhausted) == (448, 5, False)
     assert len(res.witness) == 448
     assert is_intersecting(res.witness)
+
+
+@pytest.mark.parametrize("budget", range(6))
+def test_exact_aborted_search_spends_exactly_its_budget(budget):
+    # the budget is checked before a node is counted, so it is never overrun
+    res = max_intersecting_exact(Params(9, 4, 2), node_budget=budget)
+    assert not res.exhausted
+    assert res.nodes_explored == budget

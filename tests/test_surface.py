@@ -8,7 +8,6 @@ import pytest
 import signedfam
 
 PUBLIC = [
-    "BoundReport",
     "CertificateReport",
     "DEFAULT_CAP",
     "DEFAULT_NODE_BUDGET",
@@ -42,7 +41,6 @@ PUBLIC = [
     "star",
     "support",
     "universe",
-    "verify_bound",
     "verify_certificate",
 ]
 
@@ -64,8 +62,12 @@ TEST_ONLY = [
     "NotTIntersecting",
 ]
 
+#: Names the library dropped: the exact search and bound_value say what they said.
+REMOVED = ["verify_bound", "BoundReport"]
+
 MODULES = ["signedfam"] + [
-    f"signedfam.{name}" for name in ("core", "injection", "shadow", "jsonl", "errors")
+    f"signedfam.{name}"
+    for name in ("core", "injection", "search", "shadow", "jsonl", "errors", "cli")
 ]
 
 
@@ -80,12 +82,28 @@ def test_test_only_names_are_not_in_the_library(module):
     assert [name for name in TEST_ONLY if hasattr(mod, name)] == []
 
 
+@pytest.mark.parametrize("module", MODULES)
+def test_removed_names_are_gone(module):
+    mod = importlib.import_module(module)
+    assert [name for name in REMOVED if hasattr(mod, name)] == []
+
+
 def test_certificate_holds_only_its_domain_and_targets():
     # params, mapping and block_sizes are read off the domain, so they cannot disagree
     fields = [f.name for f in dataclasses.fields(signedfam.InjectionCertificate)]
     assert fields == ["domain", "targets"]
-    assert [f.name for f in dataclasses.fields(signedfam.CertificateReport)] == [
-        "ok",
-        "bound",
-        "problems",
-    ]
+    assert [f.name for f in dataclasses.fields(signedfam.CertificateReport)] == ["problems"]
+
+
+def test_results_hold_only_what_they_found():
+    # max_size and ok are read off the witness and the problems, so they cannot disagree
+    fields = [f.name for f in dataclasses.fields(signedfam.SearchResult)]
+    assert fields == ["witness", "nodes_explored", "exhausted"]
+    res = signedfam.max_intersecting_exact(signedfam.Params(4, 2, 2))
+    assert res.max_size == len(res.witness) == 6
+    with pytest.raises(TypeError):
+        dataclasses.replace(res, max_size=1)
+    with pytest.raises(TypeError):
+        signedfam.CertificateReport(ok=True, problems=())
+    assert signedfam.CertificateReport(()).ok
+    assert not signedfam.CertificateReport(("a problem",)).ok
