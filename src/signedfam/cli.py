@@ -69,12 +69,7 @@ def _cmd_random_family(args) -> int:
 def _cmd_inject(args) -> int:
     families = read_signed_families(args.family)
     if len(families) != 1:
-        print(
-            f"error: expected exactly one family in {args.family}, "
-            f"found {len(families)}",
-            file=sys.stderr,
-        )
-        return 2
+        raise ValueError(f"expected exactly one family in {args.family}, found {len(families)}")
     # assemble_injection has verified the certificate; a failure raised
     # VerificationFailed, which exits 1.
     cert = assemble_injection(families[0])
@@ -179,17 +174,15 @@ def build_parser() -> argparse.ArgumentParser:
     add_json(sp)
     sp.set_defaults(func=_cmd_inject)
 
-    sp = sub.add_parser("search", help="exact maximum intersecting family size")
-    add_params(sp)
-    sp.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help="search node budget")
-    add_json(sp)
-    sp.set_defaults(func=_cmd_search)
-
-    sp = sub.add_parser("verify-bound", help="compare exact search against the formula")
-    add_params(sp)
-    sp.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help="search node budget")
-    add_json(sp)
-    sp.set_defaults(func=_cmd_verify_bound)
+    for name, func, text in (
+        ("search", _cmd_search, "exact maximum intersecting family size"),
+        ("verify-bound", _cmd_verify_bound, "compare exact search against the formula"),
+    ):
+        sp = sub.add_parser(name, help=text)
+        add_params(sp)
+        sp.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help="search node budget")
+        add_json(sp)
+        sp.set_defaults(func=func)
 
     sp = sub.add_parser("random-family", help="seeded random maximal intersecting family")
     add_params(sp)
@@ -201,25 +194,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Exit code per reported error type; the first type the error is an instance of wins.
+_EXIT_CODES = {
+    FormatError: 2,
+    ValueError: 2,
+    OSError: 2,
+    TooLarge: 3,
+    NotIntersecting: 4,
+    UnsupportedRange: 5,
+    Error: 1,
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, ValueError, OSError) as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NotIntersecting as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except UnsupportedRange as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
     except (RecursionError, MemoryError) as exc:
         detail = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
         print(f"error: internal: {detail}", file=sys.stderr)

@@ -106,8 +106,44 @@ def intersects(a: SignedSet, b: SignedSet) -> bool:
     return not set(a).isdisjoint(b)
 
 
+class _Family:
+    """The container both family types share: members sorted, distinct, of one size.
+
+    A subclass stores its members through _store_sorted and supplies
+    _check_entries, the per-member entry check.
+    """
+
+    def _store_sorted(self, norm: list) -> None:
+        norm.sort()
+        object.__setattr__(self, "members", tuple(norm))
+        size = None
+        prev = None
+        for m in self.members:
+            if m == prev:
+                raise ValueError(f"duplicate member {m}")
+            prev = m
+            if size is None:
+                size = len(m)
+            elif len(m) != size:
+                raise NonUniform("members must share a common size")
+            self._check_entries(m)
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def __iter__(self):
+        return iter(self.members)
+
+    def __contains__(self, member) -> bool:
+        return member in self.member_set
+
+    @cached_property
+    def member_set(self) -> frozenset:
+        return frozenset(self.members)
+
+
 @dataclass(frozen=True)
-class SignedFamily:
+class SignedFamily(_Family):
     """A duplicate-free collection of signed sets under common parameters.
 
     Members are stored sorted, each in canonical pair order.  Member
@@ -123,42 +159,19 @@ class SignedFamily:
     members: tuple[SignedSet, ...]
 
     def __post_init__(self) -> None:
-        norm = [tuple(sorted((x, a) for x, a in m)) for m in self.members]
-        norm.sort()
-        object.__setattr__(self, "members", tuple(norm))
+        self._store_sorted([tuple(sorted((x, a) for x, a in m)) for m in self.members])
+
+    def _check_entries(self, m: SignedSet) -> None:
         n, r = self.params.n, self.params.r
-        size = None
-        prev = None
-        for m in self.members:
-            if m == prev:
-                raise ValueError(f"duplicate member {m}")
-            prev = m
-            if size is None:
-                size = len(m)
-            elif len(m) != size:
-                raise NonUniform("members must share a common size")
-            last = 0
-            for x, a in m:
-                if not 1 <= x <= n:
-                    raise OutOfRange(f"element {x} outside [1, {n}]")
-                if not 1 <= a <= r:
-                    raise OutOfRange(f"sign {a} outside [1, {r}]")
-                if x <= last:
-                    raise DuplicateElement(f"element {x} repeated in {m}")
-                last = x
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __contains__(self, sset) -> bool:
-        return sset in self.member_set
-
-    @cached_property
-    def member_set(self) -> frozenset:
-        return frozenset(self.members)
+        last = 0
+        for x, a in m:
+            if not 1 <= x <= n:
+                raise OutOfRange(f"element {x} outside [1, {n}]")
+            if not 1 <= a <= r:
+                raise OutOfRange(f"sign {a} outside [1, {r}]")
+            if x <= last:
+                raise DuplicateElement(f"element {x} repeated in {m}")
+            last = x
 
 
 def _canonical_family(params: Params, members: tuple[SignedSet, ...]) -> SignedFamily:
@@ -178,7 +191,7 @@ def _canonical_family(params: Params, members: tuple[SignedSet, ...]) -> SignedF
 
 
 @dataclass(frozen=True)
-class PlainFamily:
+class PlainFamily(_Family):
     """Uniform-size plain subsets of [ground], duplicate-free and sorted."""
 
     ground: int
@@ -187,44 +200,21 @@ class PlainFamily:
     def __post_init__(self) -> None:
         if self.ground < 1:
             raise ValueError(f"ground-set size must be >= 1, got {self.ground}")
-        norm = [tuple(sorted(m)) for m in self.members]
-        norm.sort()
-        object.__setattr__(self, "members", tuple(norm))
-        size = None
-        prev = None
-        for m in self.members:
-            if m == prev:
-                raise ValueError(f"duplicate member {m}")
-            prev = m
-            if size is None:
-                size = len(m)
-            elif len(m) != size:
-                raise NonUniform("members must share a common size")
-            last = 0
-            for x in m:
-                if not 1 <= x <= self.ground:
-                    raise OutOfRange(f"element {x} outside [1, {self.ground}]")
-                if x <= last:
-                    raise DuplicateElement(f"element {x} repeated in {m}")
-                last = x
+        self._store_sorted([tuple(sorted(m)) for m in self.members])
+
+    def _check_entries(self, m: PlainSet) -> None:
+        last = 0
+        for x in m:
+            if not 1 <= x <= self.ground:
+                raise OutOfRange(f"element {x} outside [1, {self.ground}]")
+            if x <= last:
+                raise DuplicateElement(f"element {x} repeated in {m}")
+            last = x
 
     @property
     def size(self):
         """Common member size, or None for the empty family."""
         return len(self.members[0]) if self.members else None
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __contains__(self, pset) -> bool:
-        return pset in self.member_set
-
-    @cached_property
-    def member_set(self) -> frozenset:
-        return frozenset(self.members)
 
 
 def _slot_masks(members) -> dict:

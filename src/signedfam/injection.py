@@ -359,15 +359,8 @@ def _all_targets_valid(targets: list, p: Params) -> bool:
             set(map(type, targets)) <= {tuple}
             and set(map(len, targets)) <= {k}
             and set(map(itemgetter(0), targets)) <= {(1, 1)}
-            and all(
-                type(pr) is tuple
-                and len(pr) == 2
-                and type(pr[0]) is int
-                and type(pr[1]) is int
-                and 1 <= pr[0] <= n
-                and 1 <= pr[1] <= r
-                for pr in set(itertools.chain.from_iterable(targets))
-            )
+            and _is_pair_tuple(pairs := tuple(set(itertools.chain.from_iterable(targets))))
+            and all(1 <= x <= n and 1 <= a <= r for x, a in pairs)
             and all(
                 all(map(lt, map(itemgetter(0), left), map(itemgetter(0), right)))
                 for left, right in itertools.pairwise(zip(*targets))

@@ -196,7 +196,10 @@ def max_intersecting_exact(
     maximum clique contains vertex 0.  Nodes are search-tree
     expansions; when the budget runs out the best clique so far is
     returned with exhausted = False and nodes_explored = node_budget.
+    A negative budget raises ValueError before the graph is built.
     """
+    if node_budget < 0:
+        raise ValueError(f"node budget must be >= 0, got {node_budget}")
     verts, adj = _intersection_graph(params)
     nv = len(verts)
     best_clique = _greedy_clique(adj, range(nv))
@@ -248,8 +251,7 @@ def max_intersecting_exact(
             cur.pop()
             live ^= 1 << v
 
-    if nv:
-        expand((1 << nv) - 1)
+    expand((1 << nv) - 1)
     return SearchResult(
         witness=_canonical_family(params, tuple(verts[v] for v in sorted(best_clique))),
         nodes_explored=nodes,
@@ -271,7 +273,6 @@ def enumerate_maximal_intersecting(
     maximal families.
     """
     verts, adj = _intersection_graph(params)
-    nv = len(verts)
     found: list[tuple[int, ...]] = []
     cur: list[int] = []
 
@@ -319,8 +320,7 @@ def enumerate_maximal_intersecting(
             p ^= bv
             x |= bv
 
-    if nv:
-        bk((1 << nv) - 1, 0)
+    bk((1 << len(verts)) - 1, 0)
     return to_families(found)
 
 

@@ -26,8 +26,6 @@ def shadow_to(fam: PlainFamily, s: int) -> PlainFamily:
     m = fam.size
     if s < 0 or s > m:
         raise SizeExceedsMembers(f"shadow size {s} outside [0, {m}]")
-    if s == m:
-        return fam
     out = set()
     for member in fam.members:
         out.update(itertools.combinations(member, s))

@@ -268,3 +268,37 @@ def test_verify_bound_inconclusive_line(capsys):
     )
     assert code == 0
     assert stdout == "max>=448 bound=448 inconclusive (node budget exhausted)\n"
+
+
+@pytest.mark.parametrize("lines", [[], ['{"n":4,"k":1,"r":2,"sets":[[[1,1]]]}'] * 2])
+def test_inject_needs_exactly_one_family_exit_2(capsys, tmp_path, lines):
+    fam_path = tmp_path / "fam.jsonl"
+    fam_path.write_text("".join(line + "\n" for line in lines))
+    code, stdout, stderr = run(capsys, "inject", str(fam_path))
+    assert code == 2
+    assert stdout == ""
+    assert stderr == f"error: expected exactly one family in {fam_path}, found {len(lines)}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        (["universe", "-n", "3", "-k", "2", "-r", "2"], 12),
+        (["star", "-n", "4", "-k", "2", "-r", "2"], 6),
+        (["random-family", "-n", "5", "-k", "2", "-r", "2", "--seed", "3"], 3),
+    ],
+)
+def test_out_with_json_prints_size_and_path(capsys, tmp_path, argv, size):
+    out = tmp_path / "s.jsonl"
+    code, stdout, _ = run(capsys, *argv, "-o", str(out), "--json")
+    assert code == 0
+    assert stdout == json.dumps({"size": size, "path": str(out)}, separators=(",", ":")) + "\n"
+    assert len(read_signed_families(out)[0]) == size
+
+
+@pytest.mark.parametrize("command", ["search", "verify-bound"])
+def test_negative_budget_exit_2(capsys, command):
+    code, stdout, stderr = run(capsys, command, "-n", "4", "-k", "2", "-r", "2", "--budget", "-3")
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "error: node budget must be >= 0, got -3\n"

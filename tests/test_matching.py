@@ -160,3 +160,9 @@ def test_edge_case_outcomes():
     assignment = match_to_shadow(tails)
     assert len(set(assignment.values())) == 15
     assert all(set(dst) <= set(src) for src, dst in assignment.items())
+
+
+def test_member_size_leaving_no_shadow_size_has_no_matching():
+    message = r"^member size 2 leaves no valid set size for ground 3$"
+    with pytest.raises(NoPerfectMatching, match=message):
+        match_to_shadow(PlainFamily(3, ((1, 2),)))

@@ -399,6 +399,12 @@ def test_graph_preflight_refuses_before_building(monkeypatch):
         enumerate_maximal_intersecting(p, cap=1)
 
 
+def test_exact_rejects_negative_budget_before_building(monkeypatch):
+    monkeypatch.setattr(search, "universe", refuse_universe)
+    with pytest.raises(ValueError, match=r"^node budget must be >= 0, got -1$"):
+        max_intersecting_exact(Params(20, 5, 2), node_budget=-1)
+
+
 def fresh_graph_cache(monkeypatch):
     """An empty graph cache for one test; returns the list of graph builds."""
     builds = []

@@ -32,6 +32,11 @@ def test_shadow_of_empty_family():
     assert shadow_to(pf(4, []), 2).members == ()
 
 
+def test_shadow_of_empty_family_rejects_negative_size():
+    with pytest.raises(SizeExceedsMembers, match=r"^shadow size -1 is negative$"):
+        shadow_to(pf(4, []), -1)
+
+
 def test_shadow_size_errors():
     fam = pf(4, [[2, 3]])
     with pytest.raises(SizeExceedsMembers):
