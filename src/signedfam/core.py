@@ -107,26 +107,14 @@ def intersects(a: SignedSet, b: SignedSet) -> bool:
 
 
 class _Family:
-    """The container both family types share: members sorted, distinct, of one size.
-
-    A subclass stores its members through _store_sorted and supplies
-    _check_entries, the per-member entry check.
-    """
+    """The container both family types share; subclasses check, then _store_sorted."""
 
     def _store_sorted(self, norm: list) -> None:
         norm.sort()
-        object.__setattr__(self, "members", tuple(norm))
-        size = None
-        prev = None
-        for m in self.members:
+        for prev, m in itertools.pairwise(norm):
             if m == prev:
                 raise ValueError(f"duplicate member {m}")
-            prev = m
-            if size is None:
-                size = len(m)
-            elif len(m) != size:
-                raise NonUniform("members must share a common size")
-            self._check_entries(m)
+        object.__setattr__(self, "members", tuple(norm))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -144,45 +132,26 @@ class _Family:
 
 @dataclass(frozen=True)
 class SignedFamily(_Family):
-    """A duplicate-free collection of signed sets under common parameters.
+    """A duplicate-free collection of signed k-sets under common parameters.
 
-    Members are stored sorted, each in canonical pair order.  Member
-    size is uniform but may be smaller than params.k.  The library
-    builds only k-sized members; the values that use the allowance are
-    the test references' derived families (a block with its common pair
-    stripped, its sign shifts, the signed versions of a shadow) and a
-    lone empty member.
-    Serialized interchange is stricter and requires size exactly k.
+    Every member passes make_signed_set, so it is a canonical signed
+    k-set of the universe for params; members are stored sorted.
     """
 
     params: Params
     members: tuple[SignedSet, ...]
 
     def __post_init__(self) -> None:
-        self._store_sorted([tuple(sorted((x, a) for x, a in m)) for m in self.members])
-
-    def _check_entries(self, m: SignedSet) -> None:
-        n, r = self.params.n, self.params.r
-        last = 0
-        for x, a in m:
-            if not 1 <= x <= n:
-                raise OutOfRange(f"element {x} outside [1, {n}]")
-            if not 1 <= a <= r:
-                raise OutOfRange(f"sign {a} outside [1, {r}]")
-            if x <= last:
-                raise DuplicateElement(f"element {x} repeated in {m}")
-            last = x
+        self._store_sorted([make_signed_set(m, self.params) for m in self.members])
 
 
 def _canonical_family(params: Params, members: tuple[SignedSet, ...]) -> SignedFamily:
     """A SignedFamily built without __post_init__'s sort and validation.
 
-    Precondition, unchecked: members is a tuple of distinct signed sets
-    that are canonical (pairs sorted by element, in range, of common
-    size) and already sorted, as __post_init__ would leave them.
-    Internal callers use it only where that holds by construction,
-    such as sorted index subsets of the canonical universe or
-    subsequences of a validated family.
+    Precondition, unchecked: members are distinct signed k-sets as
+    make_signed_set returns them, sorted as __post_init__ leaves them.
+    Internal callers use it only where that holds by construction, such
+    as sorted index subsets of the universe or subsequences of a family.
     """
     fam = object.__new__(SignedFamily)
     object.__setattr__(fam, "params", params)
@@ -200,16 +169,18 @@ class PlainFamily(_Family):
     def __post_init__(self) -> None:
         if self.ground < 1:
             raise ValueError(f"ground-set size must be >= 1, got {self.ground}")
-        self._store_sorted([tuple(sorted(m)) for m in self.members])
-
-    def _check_entries(self, m: PlainSet) -> None:
-        last = 0
-        for x in m:
-            if not 1 <= x <= self.ground:
-                raise OutOfRange(f"element {x} outside [1, {self.ground}]")
-            if x <= last:
-                raise DuplicateElement(f"element {x} repeated in {m}")
-            last = x
+        norm = [tuple(sorted(m)) for m in self.members]
+        for m in norm:
+            last = 0
+            for x in m:
+                if not 1 <= x <= self.ground:
+                    raise OutOfRange(f"element {x} outside [1, {self.ground}]")
+                if x <= last:
+                    raise DuplicateElement(f"element {x} repeated in {m}")
+                last = x
+        if len(set(map(len, norm))) > 1:
+            raise NonUniform("members must share a common size")
+        self._store_sorted(norm)
 
     @property
     def size(self):
@@ -232,10 +203,10 @@ def _cover_rows(members, sets):
 
     A row marks the members the set meets: bit j of member i's row is
     set iff members i and j share a slot, so a row covers member i
-    itself unless i is empty.  O(|F| * k) big-int ORs for the masks and
-    O(k) per row, in place of O(|F|^2) pair tests.  The intersection
-    graph takes every member's row; is_intersecting takes only the rows
-    of members outside its core slot.
+    itself.  O(|F| * k) big-int ORs for the masks and O(k) per row, in
+    place of O(|F|^2) pair tests.  The intersection graph takes every
+    member's row; is_intersecting takes only the rows of members
+    outside its core slot.
     """
     slots = _slot_masks(members)
     for m in sets:
@@ -254,8 +225,7 @@ def is_intersecting(fam: SignedFamily) -> bool:
     members are tested: one is met by every member iff its cover row is
     full.  A star costs the counting pass alone; slot masks are built
     only when some member lacks the core, and the scan stops at the
-    first row that is not full.  The shortcut below 2 members keeps a
-    lone empty member vacuously intersecting.
+    first row that is not full.
     """
     members = fam.members
     if len(members) < 2:
@@ -274,11 +244,18 @@ def bound_value(params: Params) -> int:
     return params.r ** (params.k - 1) * comb(params.n - 1, params.k - 1)
 
 
+def _check_cap(cap: int) -> None:
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
+
+
 def universe(params: Params, cap: int = DEFAULT_CAP) -> SignedFamily:
     """All signed k-sets on [n] with signs in [r].
 
-    Raises TooLarge when the member count r^k * C(n, k) exceeds cap.
+    Raises ValueError for a negative cap, and TooLarge when the member
+    count r^k * C(n, k) exceeds cap.
     """
+    _check_cap(cap)
     total = params.r ** params.k * comb(params.n, params.k)
     if total > cap:
         raise TooLarge(f"universe has {total} members, cap is {cap}")
@@ -297,8 +274,10 @@ def star(params: Params, cap: int = DEFAULT_CAP) -> SignedFamily:
     """All members of the universe containing the pair (1, 1).
 
     This is the canonical extremal intersecting family; its size is
-    exactly bound_value(params).
+    exactly bound_value(params).  Raises ValueError for a negative cap,
+    and TooLarge when that size exceeds cap.
     """
+    _check_cap(cap)
     total = bound_value(params)
     if total > cap:
         raise TooLarge(f"star has {total} members, cap is {cap}")

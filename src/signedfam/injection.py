@@ -71,7 +71,7 @@ def partition_family(fam: SignedFamily) -> Partition:
     blocks: list[list[SignedSet]] = [[] for _ in range(r)]
     for m in fam.members:
         # element 1, when present, sits in the first pair of the canonical form
-        if m and m[0][0] == 1:
+        if m[0][0] == 1:
             blocks[m[0][1] - 1].append(m)
         else:
             free.append(m)
@@ -240,8 +240,8 @@ class InjectionCertificate:
     @property
     def block_sizes(self) -> tuple[int, ...]:
         # partition_family's rule: a member's first pair decides its block
-        firsts = Counter(map(itemgetter(slice(1)), self.domain.members))
-        anchored = tuple(firsts[((1, i),)] for i in range(1, self.params.r + 1))
+        firsts = Counter(map(itemgetter(0), self.domain.members))
+        anchored = tuple(firsts[1, i] for i in range(1, self.params.r + 1))
         return (len(self.domain) - sum(anchored),) + anchored
 
 
@@ -292,8 +292,8 @@ def assemble_injection(fam: SignedFamily) -> InjectionCertificate:
 def verify_certificate(cert: InjectionCertificate) -> CertificateReport:
     """Re-check a certificate from scratch, trusting nothing.
 
-    The certificate gives one target per domain member, so the mapping
-    is total on the domain by construction.  Confirms the targets are
+    The domain's members are signed k-sets for params, one target each,
+    so the mapping is total by construction.  Confirms the targets are
     distinct as sets, every target contains (1, 1) and is a valid
     signed k-set, and the domain size respects the extremal bound.
     Failures are report content and name the offending pairs; nothing

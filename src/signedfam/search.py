@@ -39,6 +39,7 @@ from .core import (
     Params,
     SignedFamily,
     _canonical_family,
+    _check_cap,
     _cover_rows,
     universe,
 )
@@ -75,11 +76,14 @@ class SplitMix64:
     The state advances by 0x9E3779B97F4A7C15 modulo 2^64 per draw and
     the output is the new state passed through two xor-shift-multiply
     rounds: z ^= z >> 30; z *= 0xBF58476D1CE4E5B9; z ^= z >> 27;
-    z *= 0x94D049BB133111EB; z ^= z >> 31 (all modulo 2^64).
+    z *= 0x94D049BB133111EB; z ^= z >> 31 (all modulo 2^64).  The seed,
+    the initial state, must lie in [0, 2^64); ValueError otherwise.
     """
 
     def __init__(self, seed: int) -> None:
-        self._state = seed & _MASK64
+        if not 0 <= seed <= _MASK64:
+            raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+        self._state = seed
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK64
@@ -270,8 +274,9 @@ def enumerate_maximal_intersecting(
     later vertex can beat, so the pivot and the discovery order are
     those of a full scan.  Raises CapExceeded carrying the first cap
     families found, in canonical order, when there are more than cap
-    maximal families.
+    maximal families, and ValueError before any work for a negative cap.
     """
+    _check_cap(cap)
     verts, adj = _intersection_graph(params)
     found: list[tuple[int, ...]] = []
     cur: list[int] = []
@@ -329,11 +334,13 @@ def random_maximal_intersecting(params: Params, seed: int) -> SignedFamily:
 
     The universe is shuffled by a SplitMix64-driven Fisher-Yates pass,
     then scanned greedily: a set is kept whenever it intersects every
-    set kept so far.  The result is maximal by construction.
+    set kept so far; the result is maximal.  A seed outside [0, 2^64)
+    raises ValueError before the graph is built.
     """
+    rng = SplitMix64(seed)
     verts, adj = _intersection_graph(params)
     idx = list(range(len(verts)))
-    SplitMix64(seed).shuffle(idx)
+    rng.shuffle(idx)
     chosen = sorted(_greedy_clique(adj, idx))
     return _canonical_family(params, tuple(verts[i] for i in chosen))
 

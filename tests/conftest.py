@@ -62,11 +62,11 @@ class NotTIntersecting(Error):
     """A family fails the pairwise intersection floor it was claimed to meet."""
 
 
-def strip_first(block: SignedFamily, i: int) -> SignedFamily:
-    """Remove the common pair (1, i) from every member.
+def strip_first(block: SignedFamily, i: int) -> tuple:
+    """Remove the common pair (1, i) from every member, as sorted member tuples.
 
     Removal of a shared pair is injective, so the size is preserved.
-    The members come out one pair short of k.
+    The members come out one pair short of k, so they are no family.
     """
     pair = (1, i)
     out = []
@@ -74,32 +74,28 @@ def strip_first(block: SignedFamily, i: int) -> SignedFamily:
         if pair not in m:
             raise MissingPair(f"member {m} lacks {pair}")
         out.append(tuple(p for p in m if p != pair))
-    return SignedFamily(block.params, tuple(out))
+    return tuple(sorted(out))
 
 
-def signed_versions(shadow_fam: PlainFamily, r: int) -> SignedFamily:
-    """Every way of signing every member with signs from 1..r.
+def signed_versions(shadow_fam: PlainFamily, r: int) -> tuple:
+    """Every way of signing every member with signs from 1..r, sorted.
 
-    The result has exactly r^(member size) * len(shadow_fam) members.
-    Its parameters carry k = member size + 1 (1 for an empty input),
-    matching the pipeline where members one short of k are signed.
+    The result has exactly r^(member size) * len(shadow_fam) members,
+    one pair short of k where the pipeline signs them.
     """
-    base = shadow_fam.size
-    k = 1 if base is None else base + 1
-    params = Params(shadow_fam.ground, k, r)
     signs = range(1, r + 1)
-    members = tuple(
-        tuple(zip(m, vec))
-        for m in shadow_fam.members
-        for vec in itertools.product(signs, repeat=len(m))
+    return tuple(
+        sorted(
+            tuple(zip(m, vec))
+            for m in shadow_fam.members
+            for vec in itertools.product(signs, repeat=len(m))
+        )
     )
-    return SignedFamily(params, members)
 
 
-def shift_signs_family(fam: SignedFamily, q: int) -> SignedFamily:
+def shift_signs_family(members: tuple, q: int, r: int) -> tuple:
     """Member-wise cyclic sign shift; a bijection, so the size is kept."""
-    r = fam.params.r
-    return SignedFamily(fam.params, tuple(shift_signs(m, q, r) for m in fam.members))
+    return tuple(shift_signs(m, q, r) for m in members)
 
 
 def plain_family_to_json(fam: PlainFamily) -> str:
@@ -238,8 +234,8 @@ def intersecting_corpus() -> tuple[tuple[str, SignedFamily], ...]:
     Every maximal family at (4,2,2) and (5,2,2), each with one member
     removed and each with one outside member added; 300 seeded random
     subfamilies, half of them drawn around one random slot; the
-    Hilton-Milner type family, which has no common slot; a lone empty
-    member; and two families whose most common slot is tied.
+    Hilton-Milner type family, which has no common slot; and two
+    families whose most common slot is tied.
     """
     out = []
     for p in (Params(4, 2, 2), Params(5, 2, 2)):
@@ -267,7 +263,6 @@ def intersecting_corpus() -> tuple[tuple[str, SignedFamily], ...]:
             picked += rng.sample(pool, rng.randint(0, 2))
         out.append((f"random {seed} at {p}", SignedFamily(p, tuple(set(picked)))))
     out.append(("Hilton-Milner", HILTON_MILNER))
-    out.append(("lone empty member", SignedFamily(Params(4, 2, 2), ((),))))
     out.append(("tied, intersecting", SignedFamily(Params(3, 2, 2), TIED_INTERSECTING)))
     out.append(("tied, disjoint", SignedFamily(Params(5, 2, 2), TIED_DISJOINT)))
     return tuple(out)
@@ -299,7 +294,7 @@ def proof_step_report(fam: SignedFamily) -> dict[str, bool]:
     """
     p = fam.params
     part = partition_family(fam)
-    stripped = [part.free] + [
+    stripped = [part.free.members] + [
         strip_first(part.anchored[i - 1], i) for i in range(1, p.r + 1)
     ]
 
@@ -308,7 +303,7 @@ def proof_step_report(fam: SignedFamily) -> dict[str, bool]:
         groups[support(m)] = groups.get(support(m), 0) + 1
     class_bound = all(g <= p.r ** (p.k - 1) for g in groups.values())
 
-    masks = [[pair_mask(m, p.r) for m in f.members] for f in stripped]
+    masks = [[pair_mask(m, p.r) for m in f] for f in stripped]
     cross_intersect = True
     for i in range(len(stripped)):
         for j in range(i + 1, len(stripped)):
@@ -322,10 +317,9 @@ def proof_step_report(fam: SignedFamily) -> dict[str, bool]:
     pool_bound = len(part.free) <= p.r ** (p.k - 1) * len(sh)
 
     shifted = [stripped[1]] + [
-        shift_signs_family(stripped[i], i - 1) for i in range(2, p.r + 1)
+        shift_signs_family(stripped[i], i - 1, p.r) for i in range(2, p.r + 1)
     ]
-    pool = signed_versions(sh, p.r)
-    side_sets = [f.member_set for f in shifted] + [pool.member_set]
+    side_sets = [set(f) for f in shifted] + [set(signed_versions(sh, p.r))]
     blocks_disjoint = True
     for a, b in itertools.combinations(side_sets, 2):
         if a & b:

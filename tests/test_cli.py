@@ -262,6 +262,31 @@ def test_star_cap_exit_3(capsys):
     assert stderr == "error: star has 6 members, cap is 5\n"
 
 
+@pytest.mark.parametrize("command", ["universe", "star"])
+def test_negative_cap_exit_2(capsys, command):
+    code, stdout, stderr = run(capsys, command, "-n", "3", "-k", "1", "-r", "2", "--cap", "-1")
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "error: cap must be >= 0, got -1\n"
+
+
+def test_zero_cap_exit_3(capsys):
+    code, stdout, stderr = run(capsys, "universe", "-n", "3", "-k", "1", "-r", "2", "--cap", "0")
+    assert code == 3
+    assert stdout == ""
+    assert stderr == "error: universe has 6 members, cap is 0\n"
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_out_of_range_seed_exit_2(capsys, seed):
+    code, stdout, stderr = run(
+        capsys, "random-family", "-n", "4", "-k", "2", "-r", "2", "--seed", seed
+    )
+    assert code == 2
+    assert stdout == ""
+    assert stderr == f"error: seed must be in [0, 2^64), got {seed}\n"
+
+
 def test_verify_bound_inconclusive_line(capsys):
     code, stdout, _ = run(
         capsys, "verify-bound", "-n", "9", "-k", "4", "-r", "2", "--budget", "5"

@@ -92,8 +92,9 @@ def test_intersects_examples():
 def test_is_intersecting():
     assert is_intersecting(sf(4, 2, 2, []))
     assert is_intersecting(sf(4, 2, 2, [[(3, 1), (4, 2)]]))
-    # a lone size-0 member holds no slot, yet is vacuously intersecting
-    assert is_intersecting(SignedFamily(Params(4, 2, 2), ((),)))
+    # a lone size-0 member is no signed 2-set, so it cannot be a member
+    with pytest.raises(WrongSize):
+        SignedFamily(Params(4, 2, 2), ((),))
     assert is_intersecting(star(Params(4, 2, 2)))
     assert not is_intersecting(sf(2, 1, 2, [[(1, 1)], [(2, 1)]]))
 
@@ -286,11 +287,11 @@ def test_shift_signs_inverse():
 
 
 def test_shift_signs_family_identity_and_cycle():
-    fam = star(Params(4, 2, 3))
-    assert shift_signs_family(fam, 0) == fam
-    assert shift_signs_family(fam, 3) == fam
+    members = star(Params(4, 2, 3)).members
+    assert shift_signs_family(members, 0, 3) == members
+    assert shift_signs_family(members, 3, 3) == members
     for q in range(1, 3):
-        assert len(shift_signs_family(fam, q)) == len(fam)
+        assert len(set(shift_signs_family(members, q, 3))) == len(members)
 
 
 def test_universe_and_star_cap():
@@ -300,16 +301,34 @@ def test_universe_and_star_cap():
         star(Params(30, 10, 3), cap=10)
 
 
+def test_universe_and_star_reject_negative_cap():
+    for build in (universe, star):
+        # TooLarge here would mean the members were counted first
+        with pytest.raises(ValueError, match=r"^cap must be >= 0, got -1$"):
+            build(Params(30, 10, 3), cap=-1)
+        with pytest.raises(TooLarge):
+            build(Params(3, 1, 2), cap=0)
+
+
+def test_signed_family_holds_signed_k_sets_only():
+    # members one pair short of k: a (4,2,2) star relabelled to k = 3, and
+    # a 2-pair domain a certificate at (4,3,2) could otherwise carry
+    with pytest.raises(WrongSize, match=r"^expected 3 pairs, got 2$"):
+        SignedFamily(Params(4, 3, 2), star(Params(4, 2, 2)).members)
+    with pytest.raises(WrongSize, match=r"^expected 3 pairs, got 2$"):
+        SignedFamily(Params(4, 3, 2), (((2, 1), (3, 1)), ((2, 1), (4, 1))))
+
+
 def test_family_validation():
     with pytest.raises(ValueError):
         sf(3, 2, 2, [[(1, 1), (2, 1)], [(2, 1), (1, 1)]])  # duplicate after canon
-    with pytest.raises(NonUniform):
+    with pytest.raises(WrongSize):
         sf(3, 2, 2, [[(1, 1), (2, 1)], [(1, 1)]])
     with pytest.raises(OutOfRange):
         sf(3, 2, 2, [[(1, 1), (4, 1)]])
     with pytest.raises(OutOfRange):
         sf(3, 2, 2, [[(1, 3), (2, 1)]])
-    with pytest.raises(DuplicateElement):
+    with pytest.raises(DuplicateElement, match=r"^element 1 appears in two pairs$"):
         sf(3, 2, 2, [[(1, 1), (1, 2)]])
 
 
@@ -326,6 +345,10 @@ def test_plain_family_validation_and_container():
         PlainFamily(0, ())
     with pytest.raises(DuplicateElement, match=r"^element 2 repeated in \(2, 2\)$"):
         PlainFamily(4, ((2, 2),))
+    with pytest.raises(OutOfRange, match=r"^element 5 outside \[1, 4\]$"):
+        PlainFamily(4, ((2, 5),))
+    with pytest.raises(NonUniform, match=r"^members must share a common size$"):
+        PlainFamily(4, ((1, 2), (3,)))
     fam = PlainFamily(4, ((3, 2), (1, 2)))
     assert list(fam) == [(1, 2), (2, 3)]
     assert (2, 3) in fam and (3, 2) not in fam

@@ -405,6 +405,26 @@ def test_exact_rejects_negative_budget_before_building(monkeypatch):
         max_intersecting_exact(Params(20, 5, 2), node_budget=-1)
 
 
+def test_enumerate_rejects_negative_cap_before_building(monkeypatch):
+    # cap 0 is a cap like any other: the first maximal family exceeds it
+    with pytest.raises(CapExceeded) as info:
+        enumerate_maximal_intersecting(Params(4, 2, 2), cap=0)
+    assert info.value.partial == []
+    monkeypatch.setattr(search, "universe", refuse_universe)
+    with pytest.raises(ValueError, match=r"^cap must be >= 0, got -1$"):
+        enumerate_maximal_intersecting(Params(20, 5, 2), cap=-1)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, -(2**64)])
+def test_out_of_range_seed_is_refused_before_building(monkeypatch, seed):
+    text = rf"^seed must be in \[0, 2\^64\), got {seed}$"
+    with pytest.raises(ValueError, match=text):
+        SplitMix64(seed)
+    monkeypatch.setattr(search, "universe", refuse_universe)
+    with pytest.raises(ValueError, match=text):
+        random_maximal_intersecting(Params(20, 5, 2), seed)
+
+
 def fresh_graph_cache(monkeypatch):
     """An empty graph cache for one test; returns the list of graph builds."""
     builds = []
