@@ -10,7 +10,6 @@ from .core import (
     DEFAULT_CAP,
     Pair,
     Params,
-    PlainFamily,
     PlainSet,
     SignedFamily,
     SignedSet,
@@ -32,6 +31,7 @@ from .injection import (
     complements_in_tail,
     match_to_shadow,
     partition_family,
+    shadow_to,
     sign_assign,
     verify_certificate,
 )
@@ -43,7 +43,6 @@ from .search import (
     max_intersecting_exact,
     random_maximal_intersecting,
 )
-from .shadow import shadow_to
 from . import errors, jsonl
 
 __all__ = [
@@ -54,7 +53,6 @@ __all__ = [
     "Pair",
     "Params",
     "Partition",
-    "PlainFamily",
     "PlainSet",
     "SearchResult",
     "SignedFamily",

@@ -1,11 +1,12 @@
-"""Signed sets, plain sets, and the families that hold them.
+"""Signed sets and the families that hold them.
 
 A signed set is a size-k subset of [n] = {1, ..., n} with a sign from
 [r] = {1, ..., r} attached to each element, stored canonically as a
-tuple of (element, sign) pairs sorted by element.  Plain sets are
-sorted tuples of distinct integers.  Families bundle a duplicate-free,
-canonically sorted tuple of members with the parameters they live
-under, so equality, hashing, and iteration order are all structural.
+tuple of (element, sign) pairs sorted by element.  Plain sets, such as
+supports, are sorted tuples of distinct integers.  A family bundles a
+duplicate-free, canonically sorted tuple of signed sets with the
+parameters they live under, so equality, hashing, and iteration order
+are all structural.
 
 Two signed sets intersect when they share an identical (element, sign)
 pair.  Sharing an element under different signs does not count.
@@ -25,7 +26,6 @@ from operator import itemgetter
 
 from .errors import (
     DuplicateElement,
-    NonUniform,
     OutOfRange,
     TooLarge,
     WrongSize,
@@ -48,6 +48,9 @@ class Params:
     r: int
 
     def __post_init__(self) -> None:
+        # bool is an int subclass, so the exact type is what is checked
+        if {type(self.n), type(self.k), type(self.r)} != {int}:
+            raise ValueError(f"n, k and r must be integers, got {self}")
         if not 1 <= self.k <= self.n:
             raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
         if self.r < 1:
@@ -58,14 +61,15 @@ def make_signed_set(pairs, params: Params) -> SignedSet:
     """Validate and canonicalize (element, sign) pairs into a signed set.
 
     Raises OutOfRange, DuplicateElement, or WrongSize when the input is
-    not a well-formed member of the universe for ``params``.
+    not a well-formed member of the universe for ``params``.  Elements
+    and signs must be ints, not bools or floats that compare equal.
     """
     canon: list[Pair] = []
     for x, a in pairs:
-        if not 1 <= x <= params.n:
-            raise OutOfRange(f"element {x} outside [1, {params.n}]")
-        if not 1 <= a <= params.r:
-            raise OutOfRange(f"sign {a} outside [1, {params.r}]")
+        if type(x) is not int or not 1 <= x <= params.n:
+            raise OutOfRange(f"element {x!r} outside [1, {params.n}]")
+        if type(a) is not int or not 1 <= a <= params.r:
+            raise OutOfRange(f"sign {a!r} outside [1, {params.r}]")
         canon.append((x, a))
     elements = [x for x, _ in canon]
     if len(set(elements)) != len(elements):
@@ -106,11 +110,19 @@ def intersects(a: SignedSet, b: SignedSet) -> bool:
     return not set(a).isdisjoint(b)
 
 
-class _Family:
-    """The container both family types share; subclasses check, then _store_sorted."""
+@dataclass(frozen=True)
+class SignedFamily:
+    """A duplicate-free collection of signed k-sets under common parameters.
 
-    def _store_sorted(self, norm: list) -> None:
-        norm.sort()
+    Every member passes make_signed_set, so it is a canonical signed
+    k-set of the universe for params; members are stored sorted.
+    """
+
+    params: Params
+    members: tuple[SignedSet, ...]
+
+    def __post_init__(self) -> None:
+        norm = sorted(make_signed_set(m, self.params) for m in self.members)
         for prev, m in itertools.pairwise(norm):
             if m == prev:
                 raise ValueError(f"duplicate member {m}")
@@ -130,21 +142,6 @@ class _Family:
         return frozenset(self.members)
 
 
-@dataclass(frozen=True)
-class SignedFamily(_Family):
-    """A duplicate-free collection of signed k-sets under common parameters.
-
-    Every member passes make_signed_set, so it is a canonical signed
-    k-set of the universe for params; members are stored sorted.
-    """
-
-    params: Params
-    members: tuple[SignedSet, ...]
-
-    def __post_init__(self) -> None:
-        self._store_sorted([make_signed_set(m, self.params) for m in self.members])
-
-
 def _canonical_family(params: Params, members: tuple[SignedSet, ...]) -> SignedFamily:
     """A SignedFamily built without __post_init__'s sort and validation.
 
@@ -157,35 +154,6 @@ def _canonical_family(params: Params, members: tuple[SignedSet, ...]) -> SignedF
     object.__setattr__(fam, "params", params)
     object.__setattr__(fam, "members", members)
     return fam
-
-
-@dataclass(frozen=True)
-class PlainFamily(_Family):
-    """Uniform-size plain subsets of [ground], duplicate-free and sorted."""
-
-    ground: int
-    members: tuple[PlainSet, ...]
-
-    def __post_init__(self) -> None:
-        if self.ground < 1:
-            raise ValueError(f"ground-set size must be >= 1, got {self.ground}")
-        norm = [tuple(sorted(m)) for m in self.members]
-        for m in norm:
-            last = 0
-            for x in m:
-                if not 1 <= x <= self.ground:
-                    raise OutOfRange(f"element {x} outside [1, {self.ground}]")
-                if x <= last:
-                    raise DuplicateElement(f"element {x} repeated in {m}")
-                last = x
-        if len(set(map(len, norm))) > 1:
-            raise NonUniform("members must share a common size")
-        self._store_sorted(norm)
-
-    @property
-    def size(self):
-        """Common member size, or None for the empty family."""
-        return len(self.members[0]) if self.members else None
 
 
 def _slot_masks(members) -> dict:

@@ -6,7 +6,7 @@ class Error(Exception):
 
 
 class DuplicateElement(Error):
-    """Two pairs of a signed set (or entries of a plain set) share an element."""
+    """Two pairs of a signed set share an element."""
 
 
 class OutOfRange(Error):
@@ -19,14 +19,6 @@ class WrongSize(Error):
 
 class TooLarge(Error):
     """A requested family or intersection graph would exceed its size limit."""
-
-
-class SizeExceedsMembers(Error):
-    """A shadow size outside the valid range for the member size."""
-
-
-class NonUniform(Error):
-    """Family members do not share a common size."""
 
 
 class ContainsOne(Error):

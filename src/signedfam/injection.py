@@ -27,7 +27,6 @@ from operator import itemgetter, lt
 
 from .core import (
     Params,
-    PlainFamily,
     PlainSet,
     SignedFamily,
     SignedSet,
@@ -48,7 +47,6 @@ from .errors import (
     UnsupportedRange,
     VerificationFailed,
 )
-from .shadow import shadow_to
 
 
 @dataclass(frozen=True)
@@ -101,44 +99,54 @@ def complements_in_tail(free: SignedFamily) -> dict[PlainSet, list[SignedSet]]:
     return classes
 
 
-def match_to_shadow(tails: PlainFamily) -> dict[PlainSet, PlainSet]:
-    """Match every member injectively to one of its own (k-1)-subsets.
+def shadow_to(members, s: int) -> tuple[PlainSet, ...]:
+    """The s-shadow: every s-subset of a plain set in members, deduplicated and sorted.
 
-    k is recovered from the family shape: members have size
-    ground - 1 - k.  Augmenting-path search over the membership graph
-    between the family and its (k-1)-shadow.  Each member's neighbours
-    are a bitmask over shadow indices, built from per-element masks:
-    holds[x] marks the shadow members containing x, and a shadow member
-    lies inside a member exactly when it avoids every element outside
-    it.  The depth-first search runs on an explicit stack and strikes
-    each shadow vertex it takes from an ``unseen`` mask, so no recursion
-    limit applies however long a path grows.  For families that arise
-    from an intersecting input with 2k <= n, every subfamily inherits
-    the pairwise intersection floor n - 2k, the intersection-shadow
-    inequality then gives Hall's condition, and the matching always
-    exists.  Failure therefore signals a precondition violation and is
-    surfaced as NoPerfectMatching, never swallowed.
+    The s-shadow of s-sets is those sets, and the 0-shadow of any
+    nonempty collection is ((),), so the matching degenerates cleanly
+    at 2k = n and at k = 1.
     """
-    if not tails.members:
+    out: set[PlainSet] = set()
+    for m in members:
+        out.update(itertools.combinations(m, s))
+    return tuple(sorted(out))
+
+
+def match_to_shadow(tails: tuple[PlainSet, ...], k: int) -> dict[PlainSet, PlainSet]:
+    """Match every member of tails injectively to one of its own (k-1)-subsets.
+
+    tails is a sorted tuple of distinct plain sets, as assemble_injection
+    passes the tail complements.  Augmenting-path search over the
+    membership graph between tails and their (k-1)-shadow.  Each
+    member's neighbours are a bitmask over shadow indices, built from
+    per-element masks: holds[x] marks the shadow members containing x,
+    and a shadow member lies inside a member exactly when it avoids
+    every element outside it.  The depth-first search runs on an
+    explicit stack and strikes each shadow vertex it takes from an
+    ``unseen`` mask, so no recursion limit applies however long a path
+    grows.  For families that arise from an intersecting input with
+    2k <= n, every subfamily inherits the pairwise intersection floor
+    n - 2k, the intersection-shadow inequality then gives Hall's
+    condition, and the matching always exists.  Failure therefore
+    signals a precondition violation and is surfaced as
+    NoPerfectMatching, never swallowed.
+    """
+    if not tails:
         return {}
-    msize = tails.size
-    k = tails.ground - 1 - msize
     if k < 1:
-        raise NoPerfectMatching(
-            f"member size {msize} leaves no valid set size for ground {tails.ground}"
-        )
+        raise NoPerfectMatching(f"k={k} leaves no (k-1)-subsets to match to")
     sh = shadow_to(tails, k - 1)
-    holds = _slot_masks(sh.members)
-    everything = (1 << len(sh.members)) - 1
+    holds = _slot_masks(sh)
+    everything = (1 << len(sh)) - 1
     rows = []
-    for m in tails.members:
+    for m in tails:
         outside = 0
         for x, mask in holds.items():
             if x not in m:
                 outside |= mask
         rows.append(everything & ~outside)
     match_left = [-1] * len(rows)
-    match_right = [-1] * len(sh.members)
+    match_right = [-1] * len(sh)
     for u in range(len(rows)):
         # Kuhn's search from u.  path[i] is the shadow vertex taken from
         # stack[i]; row is the neighbour mask of the top of the stack.
@@ -170,11 +178,11 @@ def match_to_shadow(tails: PlainFamily) -> dict[PlainSet, PlainSet]:
                 stack.pop()
                 if not stack:
                     raise NoPerfectMatching(
-                        f"no injective shadow assignment covers {tails.members[u]}"
+                        f"no injective shadow assignment covers {tails[u]}"
                     )
                 path.pop()
                 row = rows[stack[-1]]
-    return {m: sh.members[v] for m, v in zip(tails.members, match_left)}
+    return {m: sh[v] for m, v in zip(tails, match_left)}
 
 
 def sign_assign(
@@ -277,8 +285,8 @@ def assemble_injection(fam: SignedFamily) -> InjectionCertificate:
             # canonical m leads with (1, i); the shifted tail keeps its order
             images[m] = ((1, 1),) + shift_signs(m[1:], i - 1, p.r)
     classes = complements_in_tail(part.free)
-    # the family's sort fixes the Kuhn order, and so the certificate bytes
-    matching = match_to_shadow(PlainFamily(p.n, tuple(classes)))
+    # the sort fixes the Kuhn order, and so the certificate bytes
+    matching = match_to_shadow(tuple(sorted(classes)), p.k)
     for m, housed in sign_assign(classes, matching, p.r).items():
         # housed is sorted over elements >= 2, so (1, 1) goes first
         images[m] = ((1, 1),) + housed
@@ -347,19 +355,24 @@ def _all_targets_valid(targets: list, p: Params) -> bool:
     """True when every target is a canonical signed k-set led by (1, 1).
 
     A sufficient test made of C-level passes over all targets at once:
-    each is a tuple of k pairs led by (1, 1), each distinct pair is an
-    in-range (element, sign) tuple of ints, and elements strictly increase
-    along each target.  Every such target passes the per-target check;
-    False only means that check must run.  A pair that cannot be hashed
-    fails here too, and the per-target check words its problem.
+    each is a tuple of k pairs led by (1, 1), every pair is a tuple and
+    every entry an int (all of them: (1.0, 1) and (True, 1) equal (1, 1),
+    and a set keeps one), each distinct pair has two in-range entries,
+    and elements strictly increase along each target.  Every such target
+    passes the per-target check; False only means that check must run.
+    A pair that cannot be hashed fails here too, and the per-target
+    check words its problem.
     """
     n, k, r = p.n, p.k, p.r
+    flat = itertools.chain.from_iterable
     try:
         return (
             set(map(type, targets)) <= {tuple}
             and set(map(len, targets)) <= {k}
             and set(map(itemgetter(0), targets)) <= {(1, 1)}
-            and _is_pair_tuple(pairs := tuple(set(itertools.chain.from_iterable(targets))))
+            and set(map(type, flat(targets))) <= {tuple}
+            and set(map(type, flat(flat(targets)))) <= {int}
+            and set(map(len, pairs := set(flat(targets)))) <= {2}
             and all(1 <= x <= n and 1 <= a <= r for x, a in pairs)
             and all(
                 all(map(lt, map(itemgetter(0), left), map(itemgetter(0), right)))

@@ -2,8 +2,8 @@
 
 The references further down are test code, not library code: the
 derived-family helpers the proof-step checker needs, the plain-family
-JSONL codec, and the intersection-shadow (Katona) check that acceptance
-criterion 6 reports.
+container with its shadow and JSONL codec, and the intersection-shadow
+(Katona) check that acceptance criterion 6 reports.
 """
 
 from __future__ import annotations
@@ -13,11 +13,11 @@ import itertools
 import json
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from signedfam import (
     Params,
-    PlainFamily,
     SignedFamily,
     complements_in_tail,
     enumerate_maximal_intersecting,
@@ -29,7 +29,7 @@ from signedfam import (
     support,
     universe,
 )
-from signedfam.errors import Error, FormatError, SizeExceedsMembers
+from signedfam.errors import DuplicateElement, Error, FormatError, OutOfRange
 from signedfam.jsonl import compact_json
 
 
@@ -62,6 +62,80 @@ class NotTIntersecting(Error):
     """A family fails the pairwise intersection floor it was claimed to meet."""
 
 
+class NonUniform(Error):
+    """Plain-family members do not share a common size."""
+
+
+class SizeExceedsMembers(Error):
+    """A shadow size outside the valid range for the member size."""
+
+
+@dataclass(frozen=True)
+class PlainFamily:
+    """Uniform-size plain subsets of [ground], duplicate-free and sorted.
+
+    The plain-family codec, the shadow reference and the Katona
+    reference build on it.
+    """
+
+    ground: int
+    members: tuple
+
+    def __post_init__(self) -> None:
+        if self.ground < 1:
+            raise ValueError(f"ground-set size must be >= 1, got {self.ground}")
+        norm = [tuple(sorted(m)) for m in self.members]
+        for m in norm:
+            last = 0
+            for x in m:
+                if not 1 <= x <= self.ground:
+                    raise OutOfRange(f"element {x} outside [1, {self.ground}]")
+                if x <= last:
+                    raise DuplicateElement(f"element {x} repeated in {m}")
+                last = x
+        if len(set(map(len, norm))) > 1:
+            raise NonUniform("members must share a common size")
+        norm.sort()
+        for prev, m in itertools.pairwise(norm):
+            if m == prev:
+                raise ValueError(f"duplicate member {m}")
+        object.__setattr__(self, "members", tuple(norm))
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def __iter__(self):
+        return iter(self.members)
+
+    def __contains__(self, member) -> bool:
+        return member in self.member_set
+
+    @cached_property
+    def member_set(self) -> frozenset:
+        return frozenset(self.members)
+
+    @property
+    def size(self):
+        """Common member size, or None for the empty family."""
+        return len(self.members[0]) if self.members else None
+
+
+def plain_shadow(fam: PlainFamily, s: int) -> PlainFamily:
+    """The library's shadow_to over a plain family, with s range-checked.
+
+    Containment is inclusive at equal size (the shadow of a family at its
+    own member size is the family), and the 0-shadow of a nonempty
+    family holds only the empty set.  The empty family's shadow is empty
+    at any s >= 0.
+    """
+    if not fam.members:
+        if s < 0:
+            raise SizeExceedsMembers(f"shadow size {s} is negative")
+    elif not 0 <= s <= fam.size:
+        raise SizeExceedsMembers(f"shadow size {s} outside [0, {fam.size}]")
+    return PlainFamily(fam.ground, shadow_to(fam.members, s))
+
+
 def strip_first(block: SignedFamily, i: int) -> tuple:
     """Remove the common pair (1, i) from every member, as sorted member tuples.
 
@@ -77,17 +151,17 @@ def strip_first(block: SignedFamily, i: int) -> tuple:
     return tuple(sorted(out))
 
 
-def signed_versions(shadow_fam: PlainFamily, r: int) -> tuple:
-    """Every way of signing every member with signs from 1..r, sorted.
+def signed_versions(shadow, r: int) -> tuple:
+    """Every way of signing every plain set in shadow with signs from 1..r, sorted.
 
-    The result has exactly r^(member size) * len(shadow_fam) members,
-    one pair short of k where the pipeline signs them.
+    The result has exactly r^(member size) * len(shadow) members, one
+    pair short of k where the pipeline signs them.
     """
     signs = range(1, r + 1)
     return tuple(
         sorted(
             tuple(zip(m, vec))
-            for m in shadow_fam.members
+            for m in shadow
             for vec in itertools.product(signs, repeat=len(m))
         )
     )
@@ -202,7 +276,7 @@ def katona_check(fam: PlainFamily, t: int) -> KatonaReport:
         raise SizeExceedsMembers(f"t={t} exceeds member size {s}")
     if len(fam) >= 2 and min_pairwise_intersection(fam) < t:
         raise NotTIntersecting(f"family is not {t}-intersecting")
-    sh = shadow_to(fam, s - t)
+    sh = plain_shadow(fam, s - t)
     return KatonaReport(len(sh), len(fam), len(sh) >= len(fam))
 
 
@@ -276,9 +350,9 @@ def pf(ground, sets) -> PlainFamily:
     return PlainFamily(ground, tuple(tuple(s) for s in sets))
 
 
-def free_tails(fam: SignedFamily) -> PlainFamily:
-    """The tail complements of fam's free class, as assemble_injection matches them."""
-    return PlainFamily(fam.params.n, tuple(complements_in_tail(partition_family(fam).free)))
+def free_tails(fam: SignedFamily) -> tuple:
+    """The tail complements of fam's free class, sorted as assemble_injection matches them."""
+    return tuple(sorted(complements_in_tail(partition_family(fam).free)))
 
 
 def proof_step_report(fam: SignedFamily) -> dict[str, bool]:
@@ -326,7 +400,7 @@ def proof_step_report(fam: SignedFamily) -> dict[str, bool]:
             blocks_disjoint = False
 
     try:
-        match_to_shadow(tails)
+        match_to_shadow(tails, p.k)
         matching_ok = True
     except Exception:
         matching_ok = False

@@ -9,6 +9,8 @@ from conftest import (
     HM_A,
     TIED_DISJOINT,
     TIED_INTERSECTING,
+    NonUniform,
+    PlainFamily,
     intersecting_corpus,
     pairwise_intersecting,
     sf,
@@ -17,7 +19,6 @@ from conftest import (
 
 from signedfam import (
     Params,
-    PlainFamily,
     SignedFamily,
     SplitMix64,
     bound_value,
@@ -32,7 +33,6 @@ from signedfam import (
 )
 from signedfam.errors import (
     DuplicateElement,
-    NonUniform,
     OutOfRange,
     TooLarge,
     WrongSize,
@@ -47,6 +47,32 @@ def test_params_validation():
         Params(3, 0, 2)
     with pytest.raises(ValueError):
         Params(3, 1, 0)
+
+
+@pytest.mark.parametrize("args", [(4.0, 2, 2), (True, True, 2), (4, 2, 2.0), (4, 2, True)])
+def test_params_refuse_non_integers(args):
+    # each compares equal to valid integer parameters, and bool is an int subclass
+    with pytest.raises(ValueError, match=r"^n, k and r must be integers, got Params\("):
+        Params(*args)
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        (((1.0, 1), (2, 1)), "element 1.0 outside [1, 4]"),
+        (((True, 1), (2, 1)), "element True outside [1, 4]"),
+        (((1, 1), (2, True)), "sign True outside [1, 2]"),
+        (((1, 1), (2, 1.0)), "sign 1.0 outside [1, 2]"),
+    ],
+)
+def test_make_signed_set_refuses_non_integer_entries(pairs, message):
+    # each pair equals an int pair, so a range check alone accepted them
+    p = Params(4, 2, 2)
+    with pytest.raises(OutOfRange) as exc:
+        make_signed_set(pairs, p)
+    assert str(exc.value) == message
+    with pytest.raises(OutOfRange):
+        SignedFamily(p, (pairs,))
 
 
 def test_make_signed_set_canonicalizes():

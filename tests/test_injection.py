@@ -6,6 +6,7 @@ import itertools
 import pytest
 from conftest import (
     MissingPair,
+    PlainFamily,
     intersecting_corpus,
     pairwise_intersecting,
     pf,
@@ -19,7 +20,6 @@ from signedfam import (
     CertificateReport,
     InjectionCertificate,
     Params,
-    PlainFamily,
     SignedFamily,
     assemble_injection,
     complements_in_tail,
@@ -127,18 +127,20 @@ def test_signed_versions():
 
 
 def test_match_identity_at_equal_size():
-    assert match_to_shadow(pf(4, [[3], [4]])) == {(3,): (3,), (4,): (4,)}
+    # (4,2,r) tails have one element, and k - 1 = 1
+    assert match_to_shadow(((3,), (4,)), 2) == {(3,): (3,), (4,): (4,)}
 
 
 def test_match_degenerate_empty_member():
-    assert match_to_shadow(pf(2, [[]])) == {(): ()}
-    assert match_to_shadow(pf(5, [])) == {}
+    # at (2,1,r) the one tail is empty, and k - 1 = 0
+    assert match_to_shadow(((),), 1) == {(): ()}
+    assert match_to_shadow((), 2) == {}
 
 
 def test_match_into_strict_shadow():
-    # ground 5, member size 2, so targets are singletons
-    tails = pf(5, [[2, 3], [2, 4], [3, 4]])
-    assignment = match_to_shadow(tails)
+    # (5,2,r) tails have two elements, so targets are singletons
+    tails = ((2, 3), (2, 4), (3, 4))
+    assignment = match_to_shadow(tails, 2)
     images = list(assignment.values())
     assert len(set(images)) == len(tails)
     for src, dst in assignment.items():
@@ -148,9 +150,9 @@ def test_match_into_strict_shadow():
 
 def test_match_reports_infeasibility():
     # six 2-sets over a 4-element pool cannot inject into 4 singletons
-    bad = pf(5, [[2, 3], [2, 4], [2, 5], [3, 4], [3, 5], [4, 5]])
+    bad = ((2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5))
     with pytest.raises(NoPerfectMatching) as exc:
-        match_to_shadow(bad)
+        match_to_shadow(bad, 2)
     assert str(exc.value) == "no injective shadow assignment covers (3, 5)"
 
 
@@ -304,6 +306,30 @@ def test_verify_certificate_reports_misshapen_target(target):
     )
 
 
+class _PairSubclass(tuple):
+    """A tuple subclass: its instances equal and hash as the plain pairs they hold."""
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ((1.0, 1), (4, 1)),
+        ((True, 1), (4, 1)),
+        ((1, 1), (4, True)),
+        (_PairSubclass((1, 1)), (4, 1)),
+    ],
+)
+def test_verify_certificate_type_checks_every_entry(bad):
+    # each bad target equals ((1, 1), (4, 1)), and the earlier targets hold an
+    # int (1, 1), so a check of distinct pairs alone sees only int pairs
+    p = Params(4, 2, 2)
+    domain = SignedFamily(p, (((2, 1), (3, 1)), ((2, 1), (3, 2)), ((2, 1), (4, 1))))
+    cert = InjectionCertificate(domain, (((1, 1), (2, 1)), ((1, 1), (3, 1)), bad))
+    assert verify_certificate(cert).problems == (
+        f"target {bad!r} of source {domain.members[2]} is not a tuple of integer pairs",
+    )
+
+
 def test_verify_certificate_reports_misshapen_targets_in_mapping_order():
     # two equal misshapen targets are not reported as shared; a real share still is
     cert = assemble_injection(star(Params(4, 2, 2)))
@@ -440,12 +466,33 @@ def test_free_class_images_match_reference():
     for fam in families:
         free = partition_family(fam).free
         tails = reference_complements_in_tail(reference_build_supports(free), fam.params.n)
-        want = reference_sign_assign(free, match_to_shadow(tails))
+        want = reference_sign_assign(free, match_to_shadow(tails.members, fam.params.k))
         classes = complements_in_tail(free)
         assert PlainFamily(fam.params.n, tuple(classes)) == tails
-        got = sign_assign(classes, match_to_shadow(tails), fam.params.r)
+        got = sign_assign(classes, match_to_shadow(tails.members, fam.params.k), fam.params.r)
         assert got == want
     assert len(families) > 660
+
+
+def test_matching_calls_go_through_the_module_globals(monkeypatch):
+    # perfbench/spans.py times the matching and counts the shadow by rebinding
+    # these two names in signedfam.injection; a call that bypassed them would
+    # leave its wrappers wrapping nothing
+    import signedfam.injection as injection
+
+    results = {"shadow_to": [], "match_to_shadow": []}
+    for name, calls in results.items():
+
+        def counted(*args, fn=getattr(injection, name), calls=calls):
+            calls.append(fn(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(injection, name, counted)
+    fam = six_sets_through_pair_2_1()
+    assert len(partition_family(fam).free) == 4
+    injection.assemble_injection(fam)
+    assert [len(calls) for calls in results.values()] == [1, 1]
+    assert len(results["shadow_to"][0]) > 0
 
 
 def test_verify_certificate_matches_reference_on_valid():

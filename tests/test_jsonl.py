@@ -281,7 +281,7 @@ def test_encoders_match_reference_bytes():
     for fam in seeded_families():
         assert signed_family_to_json(fam) == reference_signed_family_to_json(fam)
         supports = pf(fam.params.n, {support(m) for m in partition_family(fam).free})
-        for plain in (supports, free_tails(fam)):
+        for plain in (supports, pf(fam.params.n, free_tails(fam))):
             assert plain_family_to_json(plain) == reference_plain_family_to_json(plain)
         cert = assemble_injection(fam)
         assert certificate_to_json(cert) == reference_certificate_to_json(cert)

@@ -8,7 +8,6 @@ from conftest import free_tails, pf
 
 from signedfam import (
     Params,
-    PlainFamily,
     SignedFamily,
     match_to_shadow,
     random_maximal_intersecting,
@@ -17,7 +16,7 @@ from signedfam import (
 from signedfam.errors import NoPerfectMatching
 
 
-def recursive_kuhn(tails):
+def recursive_kuhn(tails, k):
     """Recursive augmenting-path matching: neighbours in combinations() order.
 
     Rows are looked up subset by subset, with no masks.  Raises
@@ -25,14 +24,12 @@ def recursive_kuhn(tails):
     recursion depth is the augmenting path length, so keep inputs
     small: at (16,5,2) the path length nears the interpreter's limit.
     """
-    if not tails.members:
+    if not tails:
         return {}
-    k = tails.ground - 1 - tails.size
     sh = shadow_to(tails, k - 1)
-    right_index = {m: i for i, m in enumerate(sh.members)}
+    right_index = {m: i for i, m in enumerate(sh)}
     adjacency = [
-        [right_index[sub] for sub in itertools.combinations(m, k - 1)]
-        for m in tails.members
+        [right_index[sub] for sub in itertools.combinations(m, k - 1)] for m in tails
     ]
     match_left: dict[int, int] = {}
     match_right: dict[int, int] = {}
@@ -49,12 +46,10 @@ def recursive_kuhn(tails):
                 return True
         return False
 
-    for u in range(len(tails.members)):
+    for u in range(len(tails)):
         if not augment(u, set()):
-            raise NoPerfectMatching(
-                f"no injective shadow assignment covers {tails.members[u]}"
-            )
-    return {tails.members[u]: sh.members[v] for u, v in match_left.items()}
+            raise NoPerfectMatching(f"no injective shadow assignment covers {tails[u]}")
+    return {tails[u]: sh[v] for u, v in match_left.items()}
 
 
 def contains_2_1_avoids_1(p):
@@ -72,42 +67,48 @@ def contains_2_1_avoids_1(p):
 def test_matching_equals_recursive_reference_on_random_families(n, k, r):
     for seed in range(8):
         tails = free_tails(random_maximal_intersecting(Params(n, k, r), seed))
-        got = match_to_shadow(tails)
-        want = recursive_kuhn(tails)
+        got = match_to_shadow(tails, k)
+        want = recursive_kuhn(tails, k)
         assert list(got.items()) == list(want.items())
 
 
 def test_matching_equals_recursive_reference_on_pinned_family():
     tails = free_tails(contains_2_1_avoids_1(Params(12, 4, 3)))
     assert len(tails) == 120
-    got = match_to_shadow(tails)
-    assert list(got.items()) == list(recursive_kuhn(tails).items())
+    got = match_to_shadow(tails, 4)
+    assert list(got.items()) == list(recursive_kuhn(tails, 4).items())
 
 
 def test_matching_has_no_recursion_limit():
     # The tails of the (17,5,2) pinned family; the recursive search
     # needs augmenting paths deeper than the default recursion limit.
-    tails = pf(17, itertools.combinations(range(3, 18), 11))
-    assignment = match_to_shadow(tails)
-    assert list(assignment) == list(tails.members)
+    tails = tuple(itertools.combinations(range(3, 18), 11))
+    assignment = match_to_shadow(tails, 5)
+    assert list(assignment) == list(tails)
     assert len(set(assignment.values())) == len(tails) == 1365
     for src, dst in assignment.items():
         assert len(dst) == 4 and set(dst) <= set(src)
 
 
-def outcome(match, tails):
+def tails_in(ground, sets):
+    """Sorted tails and their k: tail complements in {2, ..., ground} have size ground - 1 - k."""
+    fam = pf(ground, sets)
+    return fam.members, ground - 1 - fam.size
+
+
+def outcome(match, tails, k):
     """The matching as a list of pairs, or the text of NoPerfectMatching."""
     try:
-        return list(match(tails).items())
+        return list(match(tails, k).items())
     except NoPerfectMatching as exc:
         return str(exc)
 
 
 def random_uniform(rng, ground, size, pool):
-    """A random nonempty family of size-subsets of the elements in pool."""
+    """A random nonempty family of size-subsets of the elements in pool, and its k."""
     subsets = list(itertools.combinations(pool, size))
     count = rng.randint(1, len(subsets))
-    return PlainFamily(ground, tuple(rng.sample(subsets, count)))
+    return tails_in(ground, rng.sample(subsets, count))
 
 
 def test_matching_equals_recursive_reference_on_random_plain_families():
@@ -120,9 +121,9 @@ def test_matching_equals_recursive_reference_on_random_plain_families():
         size = rng.randint((ground - 1) // 2, ground - 2)
         # leave some elements of the ground unused now and then
         pool = sorted(rng.sample(range(1, ground + 1), rng.randint(size, ground)))
-        tails = random_uniform(rng, ground, size, pool)
-        want = outcome(recursive_kuhn, tails)
-        assert outcome(match_to_shadow, tails) == want
+        tails, k = random_uniform(rng, ground, size, pool)
+        want = outcome(recursive_kuhn, tails, k)
+        assert outcome(match_to_shadow, tails, k) == want
         if isinstance(want, str):
             failures += 1
         else:
@@ -134,35 +135,36 @@ def test_matching_equals_recursive_reference_on_random_plain_families():
     "tails",
     [
         # s = m: the shadow is the family, each member matches itself
-        pf(6, [[1, 2], [2, 5], [3, 4]]),
-        pf(8, [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4], [5, 6, 7]]),
+        tails_in(6, [[1, 2], [2, 5], [3, 4]]),
+        tails_in(8, [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4], [5, 6, 7]]),
         # the 0-shadow {()}: one member matches (), two cannot
-        pf(5, [[1, 3, 5]]),
-        pf(5, [[1, 3, 5], [2, 3, 4]]),
+        tails_in(5, [[1, 3, 5]]),
+        tails_in(5, [[1, 3, 5], [2, 3, 4]]),
         # ground elements 1, 7, 8 and 9 appear in no member
-        pf(9, [[2, 3, 4, 5], [2, 3, 4, 6], [3, 4, 5, 6]]),
-        pf(9, [list(m) for m in itertools.combinations(range(2, 7), 4)]),
-        pf(9, [list(m) for m in itertools.combinations(range(2, 8), 4)]),
+        tails_in(9, [[2, 3, 4, 5], [2, 3, 4, 6], [3, 4, 5, 6]]),
+        tails_in(9, [list(m) for m in itertools.combinations(range(2, 7), 4)]),
+        tails_in(9, [list(m) for m in itertools.combinations(range(2, 8), 4)]),
     ],
 )
 def test_matching_equals_recursive_reference_on_edge_cases(tails):
-    assert outcome(match_to_shadow, tails) == outcome(recursive_kuhn, tails)
+    assert outcome(match_to_shadow, *tails) == outcome(recursive_kuhn, *tails)
 
 
 def test_edge_case_outcomes():
-    assert match_to_shadow(pf(6, [[1, 2], [2, 5]])) == {(1, 2): (1, 2), (2, 5): (2, 5)}
-    assert match_to_shadow(pf(5, [[1, 3, 5]])) == {(1, 3, 5): ()}
+    assert match_to_shadow(((1, 2), (2, 5)), 3) == {(1, 2): (1, 2), (2, 5): (2, 5)}
+    assert match_to_shadow(((1, 3, 5),), 1) == {(1, 3, 5): ()}
     with pytest.raises(NoPerfectMatching) as exc:
-        match_to_shadow(pf(5, [[1, 3, 5], [2, 3, 4]]))
+        match_to_shadow(((1, 3, 5), (2, 3, 4)), 1)
     assert str(exc.value) == "no injective shadow assignment covers (2, 3, 4)"
-    # 15 four-subsets of {2..7} and their 20 three-subsets inside a ground of 9
-    tails = pf(9, [list(m) for m in itertools.combinations(range(2, 8), 4)])
-    assignment = match_to_shadow(tails)
+    # 15 four-subsets of {2..7} and their 20 three-subsets, as at (9,4,r)
+    tails = tuple(itertools.combinations(range(2, 8), 4))
+    assignment = match_to_shadow(tails, 4)
     assert len(set(assignment.values())) == 15
     assert all(set(dst) <= set(src) for src, dst in assignment.items())
 
 
 def test_member_size_leaving_no_shadow_size_has_no_matching():
-    message = r"^member size 2 leaves no valid set size for ground 3$"
+    # tails of size 2 in a ground of 3 leave k = 0, and no (k-1)-subsets
+    message = r"^k=0 leaves no \(k-1\)-subsets to match to$"
     with pytest.raises(NoPerfectMatching, match=message):
-        match_to_shadow(PlainFamily(3, ((1, 2),)))
+        match_to_shadow(((1, 2),), 0)

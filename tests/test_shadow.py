@@ -1,48 +1,60 @@
-"""Shadow operator, pairwise intersection floor, intersection-shadow check."""
+"""Shadow operator, pairwise intersection floor, intersection-shadow check.
+
+plain_shadow is the library's shadow_to over the plain-family reference,
+so these tests run the library's shadow under the old range checks.
+"""
 
 import itertools
 
 import pytest
 from conftest import (
     NotTIntersecting,
+    SizeExceedsMembers,
     TooFewMembers,
     katona_check,
     min_pairwise_intersection,
     pf,
+    plain_shadow,
 )
 
 from signedfam import SplitMix64, shadow_to
-from signedfam.errors import SizeExceedsMembers
+
+
+def test_shadow_to_returns_sorted_distinct_subsets():
+    assert shadow_to(((2, 4), (2, 3)), 1) == ((2,), (3,), (4,))
+    assert shadow_to(((3, 4), (2, 3)), 2) == ((2, 3), (3, 4))
+    assert shadow_to(((3,), (4,)), 0) == ((),)
+    assert shadow_to((), 2) == ()
 
 
 def test_shadow_basic_expansion():
-    assert shadow_to(pf(4, [[2, 3], [2, 4]]), 1).members == ((2,), (3,), (4,))
+    assert plain_shadow(pf(4, [[2, 3], [2, 4]]), 1).members == ((2,), (3,), (4,))
 
 
 def test_shadow_equal_size_is_identity():
     fam = pf(5, [[1, 2, 3], [2, 4, 5]])
-    assert shadow_to(fam, 3) == fam
+    assert plain_shadow(fam, 3) == fam
 
 
 def test_shadow_to_zero_is_empty_set_family():
-    assert shadow_to(pf(4, [[3], [4]]), 0).members == ((),)
+    assert plain_shadow(pf(4, [[3], [4]]), 0).members == ((),)
 
 
 def test_shadow_of_empty_family():
-    assert shadow_to(pf(4, []), 2).members == ()
+    assert plain_shadow(pf(4, []), 2).members == ()
 
 
 def test_shadow_of_empty_family_rejects_negative_size():
     with pytest.raises(SizeExceedsMembers, match=r"^shadow size -1 is negative$"):
-        shadow_to(pf(4, []), -1)
+        plain_shadow(pf(4, []), -1)
 
 
 def test_shadow_size_errors():
     fam = pf(4, [[2, 3]])
     with pytest.raises(SizeExceedsMembers):
-        shadow_to(fam, 3)
+        plain_shadow(fam, 3)
     with pytest.raises(SizeExceedsMembers):
-        shadow_to(fam, -1)
+        plain_shadow(fam, -1)
 
 
 def _random_uniform_family(rng, n, s, count):
@@ -60,9 +72,9 @@ def test_shadow_monotone_and_composes():
         rng.shuffle(pool)
         big = pf(n, pool[: 2 + rng.below(6)])
         small = pf(n, big.members[: 1 + rng.below(len(big))])
-        assert shadow_to(small, s).member_set <= shadow_to(big, s).member_set
+        assert plain_shadow(small, s).member_set <= plain_shadow(big, s).member_set
         s2 = rng.below(s + 1)
-        assert shadow_to(shadow_to(big, s), s2) == shadow_to(big, s2)
+        assert plain_shadow(plain_shadow(big, s), s2) == plain_shadow(big, s2)
 
 
 def test_min_pairwise_examples():
