@@ -1,6 +1,8 @@
 """Wire format round-trips and strict rejection of invalid lines."""
 
+import itertools
 import json
+from collections import namedtuple
 
 import pytest
 from conftest import (
@@ -25,6 +27,7 @@ from signedfam import (
     universe,
 )
 from signedfam.errors import FormatError
+from signedfam.injection import InjectionCertificate
 from signedfam.jsonl import (
     certificate_to_json,
     parse_signed_families,
@@ -172,6 +175,13 @@ def test_certificate_json_shape():
     )
 
 
+def test_empty_certificate_json_shape():
+    cert = assemble_injection(sf(4, 2, 2, []))
+    assert certificate_to_json(cert) == (
+        '{"params":{"n":4,"k":2,"r":2},"map":[],"blocks":{"a0":0,"a":[0,0]}}'
+    )
+
+
 def test_certificate_json_deterministic():
     fam = sf(4, 2, 2, [m for m in universe(Params(4, 2, 2)).members if (2, 1) in m])
     texts = {certificate_to_json(assemble_injection(fam)) for _ in range(5)}
@@ -315,6 +325,19 @@ EXTRA_REJECTS = [
     '{"n":4,"k":2,"r":2,"sets":{}}',
     '{"n":true,"k":2,"r":2,"sets":[]}',
     '{"n":4,"k":2,"r":0,"sets":[]}',
+    # compact lines, one per check of the compact path
+    '{"n":4,"k":2,"r":2,"sets":[[[01,1],[2,1]]]}',
+    '{"n":5,"k":3,"r":3,"sets":[[[1,1],[3,1],[2,1]]]}',
+    '{"n":5,"k":3,"r":3,"sets":[[[1,1],[2,1]]]}',
+    '{"n":5,"k":3,"r":3,"sets":[[[1,1],[2,1],[3,1],[4,1]]]}',
+    '{"n":5,"k":3,"r":3,"sets":[[[1,1],[2,1],[6,1]]]}',
+    '{"n":5,"k":3,"r":3,"sets":[[[1,1],[2,4],[3,1]]]}',
+    '{"n":5,"k":3,"r":3,"sets":[[[1,1],[2,1],[3,0]]]}',
+    '{"n":5,"k":3,"r":3,"sets":[[]]}',
+    '{"n":2,"k":3,"r":3,"sets":[]}',
+    '{"n":4,"k":2,"r":2,"sets":[[[1,1],[2,1]]]}]}',
+    '{"n":4,"k":2,"r":2,"sets":[[[1,1],[2,1]]]]',
+    '{"n":4,"k":2,"r":2,"sets":[ [1,1],[2,1] ]}',
 ]
 
 
@@ -326,3 +349,101 @@ def test_parse_rejections_match_reference(line):
         parse_signed_family(line, lineno=4)
     assert str(got.value) == str(want.value)
     assert got.value.line == want.value.line == 4
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"n":' + "9" * 5000 + ',"k":2,"r":2,"sets":[]}',
+        '{"n":4,"k":2,"r":2,"sets":[[[1,1],[' + "9" * 5000 + ',1]]]}',
+    ],
+    ids=["head", "pair"],
+)
+def test_over_long_integer_literal_is_a_format_error(line):
+    # int() refuses a literal past sys.get_int_max_str_digits() with ValueError
+    with pytest.raises(FormatError) as info:
+        parse_signed_family(line, lineno=3)
+    assert str(info.value).startswith("line 3: not valid JSON: ")
+
+
+def big_inject_line():
+    """The (16,5,2) line the benchmark injects: every 5-set led by (2, 1) avoiding 1."""
+    sets = [
+        [[2, 1]] + [[x, a] for x, a in zip(rest, vec)]
+        for rest in itertools.combinations(range(3, 17), 4)
+        for vec in itertools.product((1, 2), repeat=4)
+    ]
+    return json.dumps({"n": 16, "k": 5, "r": 2, "sets": sets}, separators=(",", ":"))
+
+
+def test_compact_lines_parse_without_json_loads(monkeypatch):
+    lines = [signed_family_to_json(fam) for fam in seeded_families()]
+    obj = json.loads(lines[0])
+    obj["sets"].reverse()
+    lines.append(json.dumps(obj, separators=(",", ":")))
+    lines.append(big_inject_line())
+    want = [reference_parse_signed_family(line) for line in lines]
+    huge = 10**12
+    huge_line = (
+        f'{{"n":{huge},"k":2,"r":{huge},"sets":[[[1,1],[2,1]],[[1,{huge}],[{huge},1]]]}}'
+    )
+    huge_fam = SignedFamily(Params(huge, 2, huge), (((1, 1), (2, 1)), ((1, huge), (huge, 1))))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.loads called on a compact line")
+
+    monkeypatch.setattr("signedfam.jsonl.json.loads", refuse)
+    assert [parse_signed_family(line) for line in lines] == want
+    # a table over [n] x [r] would not fit in memory here
+    assert parse_signed_family(huge_line) == huge_fam
+    assert parse_signed_family('{"n":4,"k":2,"r":2,"sets":[]}') == sf(4, 2, 2, [])
+
+
+def compact_certificate_reference(cert):
+    """The certificate bytes when every object went through compact_json."""
+    blocks = cert.block_sizes
+    obj = {
+        "params": {"n": cert.params.n, "k": cert.params.k, "r": cert.params.r},
+        "map": [{"from": s, "to": t} for s, t in zip(cert.domain.members, cert.targets)],
+        "blocks": {"a0": blocks[0], "a": blocks[1:]},
+    }
+    return json.dumps(obj, separators=(",", ":"))
+
+
+Pair = namedtuple("Pair", "x a")
+
+
+@pytest.mark.parametrize(
+    "replace",
+    [
+        lambda t: ((1.0, 1),) + t[1:],
+        lambda t: ((True, 1),) + t[1:],
+        list,
+        lambda t: t[:1] + (list(t[1]),) + t[2:],
+        lambda t: t[:1] + (t[1] + (1,),) + t[2:],
+        lambda t: (),
+        lambda t: (Pair(1, 1),) + t[1:],
+        lambda t: (("1", 1),) + t[1:],
+        lambda t: t[:-1] + ((99, 1),),
+        lambda t: t + ((99, 1),),
+        lambda t: t[:1] + ({2, 1},) + t[2:],
+        frozenset,
+    ],
+    ids=[
+        "float", "bool", "list-target", "list-pair", "3-entry-pair", "empty",
+        "namedtuple-pair", "str-entry", "out-of-range", "k+1-pairs", "set-pair",
+        "set-target",
+    ],
+)
+def test_certificate_bytes_for_odd_targets(replace):
+    cert = assemble_injection(random_maximal_intersecting(Params(9, 4, 2), 3))
+    targets = list(cert.targets)
+    targets[len(targets) // 2] = replace(targets[len(targets) // 2])
+    odd = InjectionCertificate(cert.domain, tuple(targets))
+    try:
+        want = compact_certificate_reference(odd)
+    except Exception as exc:  # the same type must escape the library
+        with pytest.raises(type(exc)):
+            certificate_to_json(odd)
+    else:
+        assert certificate_to_json(odd) == want
