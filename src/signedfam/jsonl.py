@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from functools import partial
 from itertools import chain, repeat
 from operator import itemgetter, lt
@@ -113,8 +114,13 @@ def parse_signed_family(line: str, lineno: int = 1) -> SignedFamily:
         return fam
     try:
         obj = json.loads(line)
-    except ValueError as exc:  # a JSONDecodeError, or an over-long integer literal
+    except json.JSONDecodeError as exc:
         raise FormatError(lineno, f"not valid JSON: {exc}") from None
+    except ValueError:  # int() refuses a literal past the interpreter's digit limit
+        limit = sys.get_int_max_str_digits()
+        raise FormatError(
+            lineno, f"not valid JSON: an integer literal has more than {limit} digits"
+        ) from None
     except RecursionError:
         raise FormatError(lineno, "nested too deeply to parse") from None
     if not isinstance(obj, dict):

@@ -14,8 +14,10 @@ graphs to stay within it.  On top of that graph:
   the root colour bound beats the greedy incumbent only cliques
   through vertex 0 are searched,
 - enumeration of all maximal intersecting families by Bron-Kerbosch
-  with pivoting, the pivot scan stopping at the first vertex that
-  covers every candidate,
+  with pivoting; the pivot scan visits only X once a vertex covers
+  |P| - 1 candidates and stops at the first vertex that covers every
+  candidate, and a branch whose child would hold at most one candidate
+  is decided in place, without a call,
 - reproducible random maximal intersecting families from a
   Fisher-Yates shuffle driven by SplitMix64; draw t is a fixed mix of
   seed + t * gamma, so a shuffle computes all its draws at once, one
@@ -33,6 +35,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from operator import itemgetter
 
 from .core import (
     DEFAULT_CAP,
@@ -269,12 +272,19 @@ def enumerate_maximal_intersecting(
     """All maximal intersecting families, in canonical family order.
 
     Bron-Kerbosch with pivoting (pivot maximizing candidate coverage,
-    ties to the lowest vertex).  The pivot scan walks P | X upwards and
-    stops at the first vertex adjacent to every candidate, which no
-    later vertex can beat, so the pivot and the discovery order are
-    those of a full scan.  Raises CapExceeded carrying the first cap
-    families found, in canonical order, when there are more than cap
-    maximal families, and ValueError before any work for a negative cap.
+    ties to the lowest vertex).  The pivot scan walks P | X upwards.  A
+    vertex of P covers at most |P| - 1 candidates, so once some vertex
+    covers that many the rest of the scan visits X alone, and it stops
+    at the first vertex adjacent to every candidate, which no later
+    vertex can beat; the pivot is that of a full scan.  A branch v whose
+    child would hold at most one candidate is resolved without a call:
+    with no candidate, cur + [v] is maximal iff no excluded vertex is
+    adjacent to v; with one candidate w, cur + [v, w] is maximal iff no
+    excluded vertex is adjacent to both.  Those are the child's own
+    verdicts at the child's turn, so the discovery order is unchanged.
+    Raises CapExceeded carrying the first cap families found, in
+    canonical order, when there are more than cap maximal families, and
+    ValueError before any work for a negative cap.
     """
     _check_cap(cap)
     verts, adj = _intersection_graph(params)
@@ -282,22 +292,26 @@ def enumerate_maximal_intersecting(
     cur: list[int] = []
 
     def to_families(cliques) -> list[SignedFamily]:
-        # verts is sorted, so sorting index tuples sorts the member tuples
+        # verts is sorted, so sorting index tuples sorts the member tuples;
+        # itemgetter of one index returns the bare member (k = 1 cliques)
         return [
-            _canonical_family(params, tuple(verts[i] for i in clique))
-            for clique in sorted(tuple(sorted(c)) for c in cliques)
+            _canonical_family(
+                params,
+                itemgetter(*clique)(verts) if len(clique) > 1 else (verts[clique[0]],),
+            )
+            for clique in sorted(map(tuple, map(sorted, cliques)))
         ]
 
+    def report(clique: tuple[int, ...]) -> None:
+        if len(found) >= cap:
+            raise CapExceeded(f"more than {cap} maximal families", to_families(found))
+        found.append(clique)
+
     def bk(p_mask: int, x_mask: int) -> None:
-        if not p_mask and not x_mask:
-            if len(found) >= cap:
-                raise CapExceeded(
-                    f"more than {cap} maximal families", to_families(found)
-                )
-            found.append(tuple(cur))
-            return
-        # pivot: most candidates covered, ties to the lowest vertex; a
-        # vertex covering all of P cannot be beaten, so the scan stops there
+        # pivot: most candidates covered, ties to the lowest vertex.  A vertex
+        # of P covers at most |P| - 1, so once some vertex covers that many
+        # only X is left to scan; a vertex covering all of P cannot be
+        # beaten, so the scan stops there
         full = p_mask.bit_count()
         pivot = -1
         best = -1
@@ -310,8 +324,10 @@ def enumerate_maximal_intersecting(
             if c > best:
                 best = c
                 pivot = u
-                if c == full:
-                    break
+                if c >= full - 1:
+                    if c == full:
+                        break
+                    m &= x_mask
         p, x = p_mask, x_mask
         m = p_mask & ~adj[pivot]
         while m:
@@ -319,9 +335,19 @@ def enumerate_maximal_intersecting(
             m ^= bv
             v = bv.bit_length() - 1
             row = adj[v]
-            cur.append(v)
-            bk(p & row, x & row)
-            cur.pop()
+            pc = p & row
+            # a child with at most one candidate w is decided here: it would
+            # report cur + [v] (or cur + [v, w]) iff no vertex of X is
+            # adjacent to v (or to both v and w)
+            if pc & (pc - 1):
+                cur.append(v)
+                bk(pc, x & row)
+                cur.pop()
+            elif not pc:
+                if not x & row:
+                    report((*cur, v))
+            elif not x & row & adj[pc.bit_length() - 1]:
+                report((*cur, v, pc.bit_length() - 1))
             p ^= bv
             x |= bv
 

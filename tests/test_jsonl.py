@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import sys
 from collections import namedtuple
 
 import pytest
@@ -229,6 +230,11 @@ def reference_parse_signed_family(line, lineno=1):
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise FormatError(lineno, f"not valid JSON: {exc}") from None
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise FormatError(
+            lineno, f"not valid JSON: an integer literal has more than {limit} digits"
+        ) from None
     if not isinstance(obj, dict):
         raise FormatError(lineno, "expected a JSON object")
     if set(obj) != {"n", "k", "r", "sets"}:
@@ -361,9 +367,14 @@ def test_parse_rejections_match_reference(line):
 )
 def test_over_long_integer_literal_is_a_format_error(line):
     # int() refuses a literal past sys.get_int_max_str_digits() with ValueError
+    with pytest.raises(FormatError) as want:
+        reference_parse_signed_family(line, lineno=3)
     with pytest.raises(FormatError) as info:
         parse_signed_family(line, lineno=3)
+    assert str(info.value) == str(want.value)
     assert str(info.value).startswith("line 3: not valid JSON: ")
+    # a CLI user cannot call an interpreter function to raise the limit
+    assert "sys." not in str(info.value)
 
 
 def big_inject_line():

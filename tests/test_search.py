@@ -358,8 +358,22 @@ def generator_pivot_cliques(params, cap):
     return [tuple(verts[i] for i in sorted(c)) for c in found[: cap + 1]]
 
 
+# (5,3,2), (4,3,3), (3,3,3) and (4,4,2) resolve many one-candidate
+# children inline; (2,1,2) has only size-1 cliques, found with no candidate.
 @pytest.mark.parametrize(
-    "params", [Params(4, 2, 2), Params(5, 2, 2), Params(4, 2, 3), Params(6, 2, 2)], ids=str
+    "params",
+    [
+        Params(4, 2, 2),
+        Params(5, 2, 2),
+        Params(4, 2, 3),
+        Params(6, 2, 2),
+        Params(5, 3, 2),
+        Params(4, 3, 3),
+        Params(3, 3, 3),
+        Params(4, 4, 2),
+        Params(2, 1, 2),
+    ],
+    ids=str,
 )
 def test_enumerate_matches_generator_pivot_reference(params):
     fams = enumerate_maximal_intersecting(params)
@@ -367,14 +381,30 @@ def test_enumerate_matches_generator_pivot_reference(params):
     assert [f.members for f in fams] == sorted(ref)
 
 
-@pytest.mark.parametrize("cap", [1, 5, 17])
+#: maximal family counts of the cap grid's parameters
+MAXIMAL_COUNTS = {
+    Params(5, 2, 2): 90,
+    Params(5, 3, 2): 3422,
+    Params(4, 3, 3): 1632,
+    Params(4, 4, 2): 256,
+}
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, 5, 17, 100, "count-1"])
 def test_enumerate_cap_partial_matches_generator_pivot_reference(cap):
-    p = Params(5, 2, 2)
-    with pytest.raises(CapExceeded) as info:
-        enumerate_maximal_intersecting(p, cap=cap)
-    ref = generator_pivot_cliques(p, cap)
-    assert len(ref) == cap + 1
-    assert [f.members for f in info.value.partial] == sorted(ref[:cap])
+    for params, count in MAXIMAL_COUNTS.items():
+        limit = count - 1 if cap == "count-1" else cap
+        ref = generator_pivot_cliques(params, limit)
+        if limit >= count:
+            # no cap to exceed: the whole listing comes back
+            assert len(ref) == count, params
+            fams = enumerate_maximal_intersecting(params, cap=limit)
+            assert [f.members for f in fams] == sorted(ref), params
+            continue
+        with pytest.raises(CapExceeded) as info:
+            enumerate_maximal_intersecting(params, cap=limit)
+        assert len(ref) == limit + 1, params
+        assert [f.members for f in info.value.partial] == sorted(ref[:limit]), params
 
 
 def test_verify_bound_10_5_2_in_one_node():
