@@ -222,10 +222,13 @@ def sign_assign(
 class InjectionCertificate:
     """Explicit injective map from a family into the star at (1, 1).
 
-    targets[i] is the image of domain.members[i].  Everything else is
-    read off the domain: params, the (source, target) mapping, and
-    block_sizes, the partition class sizes (free class first, then one
-    entry per sign), so none of it can disagree with the domain.
+    targets[i] is the image of domain.members[i]: a tuple of pairs, each
+    a tuple of two exact ints ((1.0, 1) and (True, 1) equal (1, 1) but
+    are refused), of any length.  Construction raises TypeError on any
+    other target and ValueError on a count other than the domain's.
+    Everything else is read off the domain: params, the (source, target)
+    mapping, and block_sizes, the partition class sizes (free class
+    first, then one entry per sign), so none of it can disagree with the domain.
     """
 
     domain: SignedFamily
@@ -236,6 +239,12 @@ class InjectionCertificate:
             raise ValueError(
                 f"{len(self.targets)} targets for a domain of {len(self.domain)} members"
             )
+        if not _pair_tuples(self.targets):
+            for s, t in zip(self.domain.members, self.targets):
+                if not _pair_tuples((t,)):
+                    raise TypeError(
+                        f"target {t!r} of source {s} is not a tuple of integer pairs"
+                    )
 
     @property
     def params(self) -> Params:
@@ -300,12 +309,12 @@ def assemble_injection(fam: SignedFamily) -> InjectionCertificate:
 def verify_certificate(cert: InjectionCertificate) -> CertificateReport:
     """Re-check a certificate from scratch, trusting nothing.
 
-    The domain's members are signed k-sets for params, one target each,
-    so the mapping is total by construction.  Confirms the targets are
-    distinct as sets, every target contains (1, 1) and is a valid
-    signed k-set, and the domain size respects the extremal bound.
-    Failures are report content and name the offending pairs; nothing
-    is raised.
+    The domain's members are signed k-sets for params and the targets
+    are tuples of integer pairs, one per member, both by construction.
+    Confirms the targets are distinct as sets, every target contains
+    (1, 1) and is a valid signed k-set, and the domain size respects the
+    extremal bound.  Failures are report content and name the offending
+    pairs; nothing is raised.
     """
     problems: list[str] = []
     p = cert.params
@@ -313,13 +322,8 @@ def verify_certificate(cert: InjectionCertificate) -> CertificateReport:
     targets = list(cert.targets)
     invalid: list[str] = []
     if not _all_targets_valid(targets, p):
-        # word each failing target's problem, in domain order; canonicalize
-        # the rest, and leave a misshapen target (None) out of the sharing test
+        # word each failing target's problem, in domain order; canonicalize the rest
         for i, (s, t) in enumerate(zip(sources, cert.targets)):
-            if not _is_pair_tuple(t):
-                invalid.append(f"target {t!r} of source {s} is not a tuple of integer pairs")
-                targets[i] = None
-                continue
             if (1, 1) not in t:
                 invalid.append(f"target {t} of source {s} misses the pair (1, 1)")
                 continue
@@ -331,8 +335,7 @@ def verify_certificate(cert: InjectionCertificate) -> CertificateReport:
     if len(set(targets)) != len(targets):
         by_target: dict[SignedSet, list[SignedSet]] = {}
         for s, t in zip(sources, targets):
-            if t is not None:
-                by_target.setdefault(t, []).append(s)
+            by_target.setdefault(t, []).append(s)
         for t, srcs in sorted(by_target.items()):
             if len(srcs) > 1:
                 problems.append(f"target {t} is shared by sources {srcs}")
@@ -343,41 +346,34 @@ def verify_certificate(cert: InjectionCertificate) -> CertificateReport:
     return CertificateReport(tuple(problems))
 
 
-def _is_pair_tuple(t) -> bool:
-    """True when t is a tuple of 2-tuples of ints, so it hashes and unpacks."""
-    return type(t) is tuple and all(
-        type(pr) is tuple and len(pr) == 2 and type(pr[0]) is int and type(pr[1]) is int
-        for pr in t
+def _pair_tuples(targets) -> bool:
+    """True when every target is a tuple of pairs, each a tuple of two exact ints."""
+    flat = itertools.chain.from_iterable
+    return (
+        set(map(type, targets)) <= {tuple}
+        and set(map(type, flat(targets))) <= {tuple}
+        and set(map(len, flat(targets))) <= {2}
+        and set(map(type, flat(flat(targets)))) <= {int}
     )
 
 
 def _all_targets_valid(targets: list, p: Params) -> bool:
     """True when every target is a canonical signed k-set led by (1, 1).
 
-    A sufficient test made of C-level passes over all targets at once:
-    each is a tuple of k pairs led by (1, 1), every pair is a tuple and
-    every entry an int (all of them: (1.0, 1) and (True, 1) equal (1, 1),
-    and a set keeps one), each distinct pair has two in-range entries,
+    A sufficient test made of C-level passes over all targets at once,
+    which InjectionCertificate holds as tuples of integer pairs: each is
+    k pairs led by (1, 1), each distinct pair has two in-range entries,
     and elements strictly increase along each target.  Every such target
     passes the per-target check; False only means that check must run.
-    A pair that cannot be hashed fails here too, and the per-target
-    check words its problem.
     """
     n, k, r = p.n, p.k, p.r
     flat = itertools.chain.from_iterable
-    try:
-        return (
-            set(map(type, targets)) <= {tuple}
-            and set(map(len, targets)) <= {k}
-            and set(map(itemgetter(0), targets)) <= {(1, 1)}
-            and set(map(type, flat(targets))) <= {tuple}
-            and set(map(type, flat(flat(targets)))) <= {int}
-            and set(map(len, pairs := set(flat(targets)))) <= {2}
-            and all(1 <= x <= n and 1 <= a <= r for x, a in pairs)
-            and all(
-                all(map(lt, map(itemgetter(0), left), map(itemgetter(0), right)))
-                for left, right in itertools.pairwise(zip(*targets))
-            )
+    return (
+        set(map(len, targets)) <= {k}
+        and set(map(itemgetter(0), targets)) <= {(1, 1)}
+        and all(1 <= x <= n and 1 <= a <= r for x, a in set(flat(targets)))
+        and all(
+            all(map(lt, map(itemgetter(0), left), map(itemgetter(0), right)))
+            for left, right in itertools.pairwise(zip(*targets))
         )
-    except TypeError:
-        return False
+    )

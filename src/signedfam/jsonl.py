@@ -10,16 +10,18 @@ Certificate JSON:
     {"params":{"n":4,"k":2,"r":2},"map":[{"from":[[2,1],[3,1]],"to":[[1,1],[4,1]]}],"blocks":{"a0":1,"a":[0,0]}}
 
 Readers are strict: non-canonical or invalid lines (unsorted pairs,
-duplicate sets, wrong sizes, out-of-range values, unexpected keys) are
-rejected with a FormatError carrying the 1-based line number.  A line in
-exactly the bytes signed_family_to_json writes is decoded without
-json.loads; any other line, valid or not, goes through json.loads and
-the general checks, which word every rejection.
+duplicate sets, wrong sizes, out-of-range values, unexpected keys,
+bytes that are not UTF-8, a byte order mark) are rejected with a
+FormatError carrying the 1-based line number.  A line in exactly the
+bytes signed_family_to_json writes is decoded without json.loads; any
+other line, valid or not, goes through json.loads and the general
+checks, which word every rejection.
 
 Writers emit compact UTF-8 with LF line endings, byte-stable for a fixed
-input: the bytes of compact_json.  certificate_to_json joins its map
-from one text per distinct pair when every target is a tuple of k
-tuples of exact ints; anything else goes through compact_json whole.
+input: the bytes of compact_json.  certificate_to_json writes its map
+one row per entry from one text per distinct pair, which
+InjectionCertificate makes sound: its targets, like its sources, are
+tuples of exact-int pairs.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from __future__ import annotations
 import json
 import re
 import sys
-from functools import partial
 from itertools import chain, repeat
 from operator import itemgetter, lt
 from pathlib import Path
@@ -47,6 +48,8 @@ _flat = chain.from_iterable
 _POSITIVE = "([1-9][0-9]*)"
 _COMPACT_HEAD = re.compile(rf'\{{"n":{_POSITIVE},"k":{_POSITIVE},"r":{_POSITIVE},"sets":\[')
 _COMPACT_PAIR = re.compile(rf"{_POSITIVE},{_POSITIVE}")
+#: What the surrogateescape error handler decodes a byte 0x80-0xff that is not UTF-8 to.
+_UNDECODED = re.compile("[\udc80-\udcff]")
 
 
 def signed_family_to_json(fam: SignedFamily) -> str:
@@ -112,10 +115,15 @@ def parse_signed_family(line: str, lineno: int = 1) -> SignedFamily:
         fam = None
     if fam is not None:
         return fam
+    undecoded = _UNDECODED.search(line)  # a byte read_signed_families could not decode
+    if undecoded:
+        byte, column = ord(undecoded[0]) - 0xDC00, undecoded.start() + 1
+        raise FormatError(lineno, f"not valid UTF-8: byte 0x{byte:02x} at column {column}")
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise FormatError(lineno, f"not valid JSON: {exc}") from None
+        why = "the line starts with a byte order mark" if line.startswith("\ufeff") else exc
+        raise FormatError(lineno, f"not valid JSON: {why}") from None
     except ValueError:  # int() refuses a literal past the interpreter's digit limit
         limit = sys.get_int_max_str_digits()
         raise FormatError(
@@ -190,7 +198,8 @@ def parse_signed_families(lines) -> list[SignedFamily]:
 
 
 def read_signed_families(path) -> list[SignedFamily]:
-    with open(path, encoding="utf-8") as fh:
+    """Read a family file; a byte that is not UTF-8 is a FormatError naming its line."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         return parse_signed_families(fh)
 
 
@@ -207,35 +216,19 @@ class _PairTexts(dict):
         return text
 
 
-def _exact_targets(targets, k: int) -> bool:
-    """True when every target is a tuple of k tuples of exact ints.
-
-    Only then is one text per distinct pair what compact_json writes:
-    (1.0, 1) and (True, 1) equal (1, 1) and would be given its text.
-    """
-    return (
-        set(map(type, targets)) <= {tuple}
-        and set(map(len, targets)) <= {k}
-        and set(map(type, _flat(targets))) <= {tuple}
-        and set(map(type, _flat(_flat(targets)))) <= {int}
-    )
-
-
 def certificate_to_json(cert: InjectionCertificate) -> str:
-    """Serialize a certificate; byte-identical for equal certificates."""
+    """Serialize a certificate; byte-identical for equal certificates.
+
+    One row per entry from one text per distinct pair: sources and
+    targets alike are tuples of exact-int pairs, of any length.
+    """
     params, blocks = cert.params, cert.block_sizes
-    sources, targets = cert.domain.members, cert.targets
-    k = params.k
-    # sources need no guard: SignedFamily holds signed k-sets only
-    if _exact_targets(targets, k):
-        texts = _PairTexts().__getitem__
-        columns = map(partial(map, texts), chain(zip(*sources), zip(*targets)))
-        seps = ['{"from":['] + [","] * (k - 1) + ['],"to":['] + [","] * (k - 1)
-        # one row per entry: each pair text after its separator, then the close
-        rows = zip(*_flat(zip(map(repeat, seps), columns)), repeat("]},", len(sources)))
-        map_text = f"[{''.join(_flat(rows))[:-1]}]"
-    else:
-        map_text = compact_json([{"from": s, "to": t} for s, t in zip(sources, targets)])
-    head = compact_json({"n": params.n, "k": k, "r": params.r})
+    texts = _PairTexts().__getitem__
+    join = ",".join
+    rows = [
+        f'{{"from":[{join(map(texts, s))}],"to":[{join(map(texts, t))}]}}'
+        for s, t in zip(cert.domain.members, cert.targets)
+    ]
+    head = compact_json({"n": params.n, "k": params.k, "r": params.r})
     tail = compact_json({"a0": blocks[0], "a": blocks[1:]})
-    return f'{{"params":{head},"map":{map_text},"blocks":{tail}}}'
+    return f'{{"params":{head},"map":[{join(rows)}],"blocks":{tail}}}'

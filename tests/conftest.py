@@ -2,8 +2,9 @@
 
 The references further down are test code, not library code: the
 derived-family helpers the proof-step checker needs, the plain-family
-container with its shadow and JSONL codec, and the intersection-shadow
-(Katona) check that acceptance criterion 6 reports.
+container with its shadow and JSONL codec, the certificate writer's
+reference bytes, and the intersection-shadow (Katona) check that
+acceptance criterion 6 reports.
 """
 
 from __future__ import annotations
@@ -12,11 +13,15 @@ import functools
 import itertools
 import json
 import random
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
+import pytest
+
 from signedfam import (
+    InjectionCertificate,
     Params,
     SignedFamily,
     complements_in_tail,
@@ -225,6 +230,30 @@ def read_plain_families(path) -> list[PlainFamily]:
 def write_plain_families(path, families) -> None:
     text = "".join(plain_family_to_json(f) + "\n" for f in families)
     Path(path).write_text(text, encoding="utf-8", newline="\n")
+
+
+def reference_certificate_to_json(cert) -> str:
+    """The certificate bytes with every pair rebuilt as a list, through json.dumps."""
+    obj = {
+        "params": {"n": cert.params.n, "k": cert.params.k, "r": cert.params.r},
+        "map": [
+            {"from": [[x, a] for x, a in s], "to": [[x, a] for x, a in t]}
+            for s, t in cert.mapping
+        ],
+        "blocks": {"a0": cert.block_sizes[0], "a": list(cert.block_sizes[1:])},
+    }
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def assert_target_refused(cert, i: int, target) -> None:
+    """cert with target i replaced by target cannot be built, directly or by replace()."""
+    targets = cert.targets[:i] + (target,) + cert.targets[i + 1 :]
+    source = cert.domain.members[i]
+    message = f"target {target!r} of source {source} is not a tuple of integer pairs"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        InjectionCertificate(cert.domain, targets)
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        replace(cert, targets=targets)
 
 
 def min_pairwise_intersection(fam: PlainFamily) -> int:

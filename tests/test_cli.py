@@ -112,6 +112,25 @@ def test_inject_deeply_nested_line_exit_2(capsys, tmp_path):
     assert stderr == "error: line 1: nested too deeply to parse\n"
 
 
+@pytest.mark.parametrize(
+    "data, line",
+    [
+        (b'{"n":4,"k":1,"r":2,"sets":[[[1,1]]]}\r\n{"n":4,\xff}\r\n', 2),
+        (b'\xef\xbb\xbf{"n":4,"k":1,"r":2,"sets":[[[1,1]]]}\n', 1),
+    ],
+    ids=["non-utf-8", "bom"],
+)
+def test_inject_undecodable_file_names_its_line_exit_2(capsys, tmp_path, data, line):
+    fam_path = tmp_path / "bytes.jsonl"
+    fam_path.write_bytes(data)
+    code, stdout, stderr = run(capsys, "inject", str(fam_path))
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith(f"error: line {line}: ")
+    # in words a CLI user can act on: no codec names
+    assert "codec" not in stderr and "utf-8-sig" not in stderr
+
+
 def test_inject_missing_file_exit_2(capsys, tmp_path):
     code, _, _ = run(capsys, "inject", str(tmp_path / "nope.jsonl"))
     assert code == 2

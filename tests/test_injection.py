@@ -2,15 +2,18 @@
 
 import dataclasses
 import itertools
+import re
 
 import pytest
 from conftest import (
     MissingPair,
     PlainFamily,
+    assert_target_refused,
     intersecting_corpus,
     pairwise_intersecting,
     pf,
     proof_step_report,
+    reference_certificate_to_json,
     sf,
     signed_versions,
     strip_first,
@@ -41,6 +44,7 @@ from signedfam.errors import (
     NotIntersecting,
     UnsupportedRange,
 )
+from signedfam.jsonl import certificate_to_json
 
 
 def six_sets_through_pair_2_1():
@@ -287,23 +291,11 @@ def test_block_sizes_are_the_partition_class_sizes():
         dataclasses.replace(cert, block_sizes=(99, 0, 0))
 
 
-def _misshapen(cert, targets):
-    """cert with target i replaced by targets[i], for each i given."""
-    edited = list(cert.targets)
-    for i, t in targets.items():
-        edited[i] = t
-    return dataclasses.replace(cert, targets=tuple(edited))
-
-
 @pytest.mark.parametrize("target", [((1, 1), [2, 1]), 7, ((1, 1), (2,))])
 def test_verify_certificate_reports_misshapen_target(target):
-    # not a tuple of integer pairs: reported, where hashing or unpacking it would raise
+    # not a tuple of integer pairs: the certificate cannot be built to be verified
     cert = assemble_injection(star(Params(4, 2, 2)))
-    rep = verify_certificate(_misshapen(cert, {1: target}))
-    assert not rep.ok
-    assert rep.problems == (
-        f"target {target!r} of source {cert.domain.members[1]} is not a tuple of integer pairs",
-    )
+    assert_target_refused(cert, 1, target)
 
 
 class _PairSubclass(tuple):
@@ -324,23 +316,22 @@ def test_verify_certificate_type_checks_every_entry(bad):
     # int (1, 1), so a check of distinct pairs alone sees only int pairs
     p = Params(4, 2, 2)
     domain = SignedFamily(p, (((2, 1), (3, 1)), ((2, 1), (3, 2)), ((2, 1), (4, 1))))
-    cert = InjectionCertificate(domain, (((1, 1), (2, 1)), ((1, 1), (3, 1)), bad))
-    assert verify_certificate(cert).problems == (
-        f"target {bad!r} of source {domain.members[2]} is not a tuple of integer pairs",
-    )
+    cert = InjectionCertificate(domain, (((1, 1), (2, 1)), ((1, 1), (3, 1)), ((1, 1), (4, 1))))
+    assert verify_certificate(cert).ok
+    assert_target_refused(cert, 2, bad)
 
 
 def test_verify_certificate_reports_misshapen_targets_in_mapping_order():
-    # two equal misshapen targets are not reported as shared; a real share still is
+    # the first misshapen target in domain order is the one refused; without
+    # the misshapen targets, a real share is still reported
     cert = assemble_injection(star(Params(4, 2, 2)))
-    s0, s1, s2, s3 = cert.domain.members[:4]
+    s0, s1, s2 = cert.domain.members[:3]
     t0 = cert.targets[0]
-    rep = verify_certificate(_misshapen(cert, {3: 7, 1: 7, 2: t0}))
-    assert rep.problems == (
-        f"target {t0} is shared by sources {[s0, s2]}",
-        f"target 7 of source {s1} is not a tuple of integer pairs",
-        f"target 7 of source {s3} is not a tuple of integer pairs",
-    )
+    edited = (t0, 7, t0, 7) + cert.targets[4:]
+    with pytest.raises(TypeError, match=rf"^target 7 of source {re.escape(str(s1))} is not"):
+        dataclasses.replace(cert, targets=edited)
+    shared = dataclasses.replace(cert, targets=(t0, cert.targets[1], t0) + cert.targets[3:])
+    assert verify_certificate(shared).problems == (f"target {t0} is shared by sources {[s0, s2]}",)
 
 
 def in_range_corpus():
@@ -556,7 +547,8 @@ CORRUPTIONS = {
 }
 
 #: Faults a certificate can no longer state: the sources are the domain's
-#: members and params is the domain's, so each is refused on construction.
+#: members, params is the domain's and every target is a tuple of integer
+#: pairs, so each is refused on construction.
 UNSTATABLE = {
     "duplicate source": (
         lambda cert: InjectionCertificate(
@@ -583,6 +575,18 @@ UNSTATABLE = {
         TypeError,
         "params",
     ),
+    "misshapen target": (
+        lambda cert: dataclasses.replace(cert, targets=cert.targets[:1] + (7,) + cert.targets[2:]),
+        TypeError,
+        "^target 7 of source .* is not a tuple of integer pairs$",
+    ),
+    "float entry": (
+        lambda cert: InjectionCertificate(
+            cert.domain, (((1.0, 1),) + cert.targets[0][1:],) + cert.targets[1:]
+        ),
+        TypeError,
+        r"^target \(\(1\.0, 1\), .* is not a tuple of integer pairs$",
+    ),
 }
 
 
@@ -601,3 +605,11 @@ def test_verify_certificate_matches_reference_on_corruptions(name):
         rep = verify_certificate(bad)
         assert rep == reference_verify_certificate(bad)
         assert rep.ok is (name == "reordered target"), rep.problems
+
+
+@pytest.mark.parametrize("name", list(CORRUPTIONS))
+def test_certificate_bytes_match_reference_on_corruptions(name):
+    # targets of the wrong size, range or order go through the same pair texts
+    for cert in SEEDED_CERTS[::4]:
+        bad = CORRUPTIONS[name](cert)
+        assert certificate_to_json(bad) == reference_certificate_to_json(bad)

@@ -7,12 +7,14 @@ from collections import namedtuple
 
 import pytest
 from conftest import (
+    assert_target_refused,
     free_tails,
     parse_plain_families,
     parse_plain_family,
     pf,
     plain_family_to_json,
     read_plain_families,
+    reference_certificate_to_json,
     sf,
     write_plain_families,
 )
@@ -213,18 +215,6 @@ def reference_plain_family_to_json(fam):
     return json.dumps(obj, separators=(",", ":"))
 
 
-def reference_certificate_to_json(cert):
-    obj = {
-        "params": {"n": cert.params.n, "k": cert.params.k, "r": cert.params.r},
-        "map": [
-            {"from": [[x, a] for x, a in s], "to": [[x, a] for x, a in t]}
-            for s, t in cert.mapping
-        ],
-        "blocks": {"a0": cert.block_sizes[0], "a": list(cert.block_sizes[1:])},
-    }
-    return json.dumps(obj, separators=(",", ":"))
-
-
 def reference_parse_signed_family(line, lineno=1):
     try:
         obj = json.loads(line)
@@ -377,6 +367,35 @@ def test_over_long_integer_literal_is_a_format_error(line):
     assert "sys." not in str(info.value)
 
 
+FAMILY_BYTES = b'{"n":4,"k":2,"r":2,"sets":[[[1,1],[2,1]]]}'
+
+
+def test_non_utf8_byte_is_a_format_error_naming_its_line(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    broken = FAMILY_BYTES[:5] + b"\xff" + FAMILY_BYTES[5:]
+    path.write_bytes(FAMILY_BYTES + b"\r\n" + broken + b"\n")
+    with pytest.raises(FormatError) as info:
+        read_signed_families(path)
+    assert str(info.value) == "line 2: not valid UTF-8: byte 0xff at column 6"
+    assert info.value.line == 2
+
+
+def test_files_keep_text_mode_newlines(tmp_path):
+    # the reader decodes in text mode: CRLF and CR endings read as LF
+    path = tmp_path / "crlf.jsonl"
+    path.write_bytes(FAMILY_BYTES + b"\r\n" + FAMILY_BYTES + b"\r")
+    fam = sf(4, 2, 2, [[(1, 1), (2, 1)]])
+    assert read_signed_families(path) == [fam, fam]
+
+
+def test_byte_order_mark_is_a_format_error(tmp_path):
+    path = tmp_path / "bom.jsonl"
+    path.write_bytes(b"\xef\xbb\xbf" + FAMILY_BYTES + b"\n")
+    with pytest.raises(FormatError) as info:
+        read_signed_families(path)
+    assert str(info.value) == "line 1: not valid JSON: the line starts with a byte order mark"
+
+
 def big_inject_line():
     """The (16,5,2) line the benchmark injects: every 5-set led by (2, 1) avoiding 1."""
     sets = [
@@ -424,37 +443,35 @@ def compact_certificate_reference(cert):
 Pair = namedtuple("Pair", "x a")
 
 
+REFUSED, WRITTEN = True, False
+
+
 @pytest.mark.parametrize(
-    "replace",
+    "replace, refused",
     [
-        lambda t: ((1.0, 1),) + t[1:],
-        lambda t: ((True, 1),) + t[1:],
-        list,
-        lambda t: t[:1] + (list(t[1]),) + t[2:],
-        lambda t: t[:1] + (t[1] + (1,),) + t[2:],
-        lambda t: (),
-        lambda t: (Pair(1, 1),) + t[1:],
-        lambda t: (("1", 1),) + t[1:],
-        lambda t: t[:-1] + ((99, 1),),
-        lambda t: t + ((99, 1),),
-        lambda t: t[:1] + ({2, 1},) + t[2:],
-        frozenset,
-    ],
-    ids=[
-        "float", "bool", "list-target", "list-pair", "3-entry-pair", "empty",
-        "namedtuple-pair", "str-entry", "out-of-range", "k+1-pairs", "set-pair",
-        "set-target",
+        pytest.param(lambda t: ((1.0, 1),) + t[1:], REFUSED, id="float"),
+        pytest.param(lambda t: ((True, 1),) + t[1:], REFUSED, id="bool"),
+        pytest.param(list, REFUSED, id="list-target"),
+        pytest.param(lambda t: t[:1] + (list(t[1]),) + t[2:], REFUSED, id="list-pair"),
+        pytest.param(lambda t: t[:1] + (t[1] + (1,),) + t[2:], REFUSED, id="3-entry-pair"),
+        pytest.param(lambda t: (), WRITTEN, id="empty"),
+        pytest.param(lambda t: (Pair(1, 1),) + t[1:], REFUSED, id="namedtuple-pair"),
+        pytest.param(lambda t: (("1", 1),) + t[1:], REFUSED, id="str-entry"),
+        pytest.param(lambda t: t[:-1] + ((99, 1),), WRITTEN, id="out-of-range"),
+        pytest.param(lambda t: t + ((99, 1),), WRITTEN, id="k+1-pairs"),
+        pytest.param(lambda t: t[:1] + ({2, 1},) + t[2:], REFUSED, id="set-pair"),
+        pytest.param(frozenset, REFUSED, id="set-target"),
     ],
 )
-def test_certificate_bytes_for_odd_targets(replace):
+def test_certificate_bytes_for_odd_targets(replace, refused):
+    # a target that is not a tuple of exact-int pairs never reaches the writer;
+    # a tuple of such pairs of any size or range is written as compact_json would
     cert = assemble_injection(random_maximal_intersecting(Params(9, 4, 2), 3))
-    targets = list(cert.targets)
-    targets[len(targets) // 2] = replace(targets[len(targets) // 2])
-    odd = InjectionCertificate(cert.domain, tuple(targets))
-    try:
-        want = compact_certificate_reference(odd)
-    except Exception as exc:  # the same type must escape the library
-        with pytest.raises(type(exc)):
-            certificate_to_json(odd)
-    else:
-        assert certificate_to_json(odd) == want
+    i = len(cert.targets) // 2
+    target = replace(cert.targets[i])
+    if refused:
+        assert_target_refused(cert, i, target)
+        return
+    odd = InjectionCertificate(cert.domain, cert.targets[:i] + (target,) + cert.targets[i + 1 :])
+    text = certificate_to_json(odd)
+    assert text == compact_certificate_reference(odd) == reference_certificate_to_json(odd)

@@ -67,8 +67,9 @@ TEST_ONLY = [
 
 #: Names the library dropped.  The exact search and bound_value say what
 #: verify_bound and BoundReport said; _Family's container methods live in
-#: SignedFamily, the one family type.
-REMOVED = ["verify_bound", "BoundReport", "_Family"]
+#: SignedFamily, the one family type; InjectionCertificate refuses the
+#: targets _is_pair_tuple and _exact_targets looked for.
+REMOVED = ["verify_bound", "BoundReport", "_Family", "_is_pair_tuple", "_exact_targets"]
 
 #: Modules the library dropped: shadow_to moved into injection.
 REMOVED_MODULES = ["signedfam.shadow"]
