@@ -224,7 +224,8 @@ class InjectionCertificate:
 
     targets[i] is the image of domain.members[i]: a tuple of pairs, each
     a tuple of two exact ints ((1.0, 1) and (True, 1) equal (1, 1) but
-    are refused), of any length.  Construction raises TypeError on any
+    are refused), of any length.  targets is stored as a tuple, whatever
+    sequence it is given as.  Construction raises TypeError on any
     other target and ValueError on a count other than the domain's.
     Everything else is read off the domain: params, the (source, target)
     mapping, and block_sizes, the partition class sizes (free class
@@ -235,6 +236,7 @@ class InjectionCertificate:
     targets: tuple[SignedSet, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "targets", tuple(self.targets))
         if len(self.targets) != len(self.domain):
             raise ValueError(
                 f"{len(self.targets)} targets for a domain of {len(self.domain)} members"

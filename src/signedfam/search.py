@@ -6,7 +6,8 @@ arbitrary-precision integer per vertex: its cover row from
 core._cover_rows (the OR of its k (element, sign) slot masks) minus
 its own bit.  MAX_GRAPH_BITS is the graph's only size limit, and it
 also bounds the per-Params cache, which drops least recently used
-graphs to stay within it.  On top of that graph:
+graphs to stay within it; one lock guards the cache, so concurrent
+callers never see it mid-update.  On top of that graph:
 
 - exact maximum intersecting family size by branch-and-bound maximum
   clique with greedy-colouring upper bounds; the graph is
@@ -30,6 +31,7 @@ and seeds always produce identical outputs.
 from __future__ import annotations
 
 import sys
+import threading
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -145,8 +147,9 @@ class SearchResult:
         return len(self.witness)
 
 
-#: Cached graphs by Params, least recently used first.
+#: Cached graphs by Params, least recently used first; _graphs_lock guards it.
 _graphs: OrderedDict[Params, tuple] = OrderedDict()
+_graphs_lock = threading.Lock()
 
 
 def _intersection_graph(params: Params):
@@ -157,24 +160,26 @@ def _intersection_graph(params: Params):
     exceed MAX_GRAPH_BITS, the graph's only size limit.  The same limit
     bounds the cache: before a graph is built, least recently used
     graphs are dropped until the cached V^2 bits and the new graph's
-    fit within it.
+    fit within it.  One lock is held over the lookup, the eviction, the
+    build and the insert, so concurrent callers see a consistent cache.
     """
-    graph = _graphs.pop(params, None)
-    if graph is None:
-        nv = params.r ** params.k * comb(params.n, params.k)
-        bits = nv * nv
-        if bits > MAX_GRAPH_BITS:
-            raise TooLarge(f"graph has {nv}^2 adjacency bits, limit is {MAX_GRAPH_BITS}")
-        cached = sum(len(verts) ** 2 for verts, _ in _graphs.values())
-        while cached + bits > MAX_GRAPH_BITS:
-            verts, _ = _graphs.popitem(last=False)[1]
-            cached -= len(verts) ** 2
-        verts = universe(params).members
-        rows = _cover_rows(verts, verts)
-        adj = tuple(row ^ (1 << i) for i, row in enumerate(rows))
-        graph = verts, adj
-    _graphs[params] = graph
-    return graph
+    with _graphs_lock:
+        graph = _graphs.pop(params, None)
+        if graph is None:
+            nv = params.r ** params.k * comb(params.n, params.k)
+            bits = nv * nv
+            if bits > MAX_GRAPH_BITS:
+                raise TooLarge(f"graph has {nv}^2 adjacency bits, limit is {MAX_GRAPH_BITS}")
+            cached = sum(len(verts) ** 2 for verts, _ in _graphs.values())
+            while cached + bits > MAX_GRAPH_BITS:
+                verts, _ = _graphs.popitem(last=False)[1]
+                cached -= len(verts) ** 2
+            verts = universe(params).members
+            rows = _cover_rows(verts, verts)
+            adj = tuple(row ^ (1 << i) for i, row in enumerate(rows))
+            graph = verts, adj
+        _graphs[params] = graph
+        return graph
 
 
 def _greedy_clique(adj, order) -> list[int]:

@@ -1,10 +1,10 @@
 """Shared builders, reference checks and the proof-step invariant checker.
 
 The references further down are test code, not library code: the
-derived-family helpers the proof-step checker needs, the plain-family
-container with its shadow and JSONL codec, the certificate writer's
-reference bytes, and the intersection-shadow (Katona) check that
-acceptance criterion 6 reports.
+derived-family helpers the proof-step checker needs, the certificate
+writer's reference bytes, and the intersection-shadow (Katona) check
+that acceptance criterion 6 reports.  Plain sets are the sorted int
+tuples the library's shadow_to and match_to_shadow take.
 """
 
 from __future__ import annotations
@@ -14,9 +14,7 @@ import itertools
 import json
 import random
 import re
-from dataclasses import dataclass, replace
-from functools import cached_property
-from pathlib import Path
+from dataclasses import replace
 
 import pytest
 
@@ -34,8 +32,7 @@ from signedfam import (
     support,
     universe,
 )
-from signedfam.errors import DuplicateElement, Error, FormatError, OutOfRange
-from signedfam.jsonl import compact_json
+from signedfam.errors import Error
 
 
 def pair_mask(sset, r: int) -> int:
@@ -57,88 +54,6 @@ def pairwise_intersecting(fam) -> bool:
 
 class MissingPair(Error):
     """A member lacks the common pair that was to be stripped."""
-
-
-class TooFewMembers(Error):
-    """An operation needs at least two members to be meaningful."""
-
-
-class NotTIntersecting(Error):
-    """A family fails the pairwise intersection floor it was claimed to meet."""
-
-
-class NonUniform(Error):
-    """Plain-family members do not share a common size."""
-
-
-class SizeExceedsMembers(Error):
-    """A shadow size outside the valid range for the member size."""
-
-
-@dataclass(frozen=True)
-class PlainFamily:
-    """Uniform-size plain subsets of [ground], duplicate-free and sorted.
-
-    The plain-family codec, the shadow reference and the Katona
-    reference build on it.
-    """
-
-    ground: int
-    members: tuple
-
-    def __post_init__(self) -> None:
-        if self.ground < 1:
-            raise ValueError(f"ground-set size must be >= 1, got {self.ground}")
-        norm = [tuple(sorted(m)) for m in self.members]
-        for m in norm:
-            last = 0
-            for x in m:
-                if not 1 <= x <= self.ground:
-                    raise OutOfRange(f"element {x} outside [1, {self.ground}]")
-                if x <= last:
-                    raise DuplicateElement(f"element {x} repeated in {m}")
-                last = x
-        if len(set(map(len, norm))) > 1:
-            raise NonUniform("members must share a common size")
-        norm.sort()
-        for prev, m in itertools.pairwise(norm):
-            if m == prev:
-                raise ValueError(f"duplicate member {m}")
-        object.__setattr__(self, "members", tuple(norm))
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __contains__(self, member) -> bool:
-        return member in self.member_set
-
-    @cached_property
-    def member_set(self) -> frozenset:
-        return frozenset(self.members)
-
-    @property
-    def size(self):
-        """Common member size, or None for the empty family."""
-        return len(self.members[0]) if self.members else None
-
-
-def plain_shadow(fam: PlainFamily, s: int) -> PlainFamily:
-    """The library's shadow_to over a plain family, with s range-checked.
-
-    Containment is inclusive at equal size (the shadow of a family at its
-    own member size is the family), and the 0-shadow of a nonempty
-    family holds only the empty set.  The empty family's shadow is empty
-    at any s >= 0.
-    """
-    if not fam.members:
-        if s < 0:
-            raise SizeExceedsMembers(f"shadow size {s} is negative")
-    elif not 0 <= s <= fam.size:
-        raise SizeExceedsMembers(f"shadow size {s} outside [0, {fam.size}]")
-    return PlainFamily(fam.ground, shadow_to(fam.members, s))
 
 
 def strip_first(block: SignedFamily, i: int) -> tuple:
@@ -177,61 +92,6 @@ def shift_signs_family(members: tuple, q: int, r: int) -> tuple:
     return tuple(shift_signs(m, q, r) for m in members)
 
 
-def plain_family_to_json(fam: PlainFamily) -> str:
-    """One plain-family JSONL line: {"n":5,"sets":[[2,3],[2,4]]}."""
-    return compact_json({"n": fam.ground, "sets": fam.members})
-
-
-def parse_plain_family(line: str, lineno: int = 1) -> PlainFamily:
-    """Parse one plain-family line, as strictly as the signed-family reader."""
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise FormatError(lineno, f"not valid JSON: {exc}") from None
-    except RecursionError:
-        raise FormatError(lineno, "nested too deeply to parse") from None
-    if not isinstance(obj, dict):
-        raise FormatError(lineno, "expected a JSON object")
-    if set(obj) != {"n", "sets"}:
-        raise FormatError(lineno, f"expected keys n, sets; got {sorted(obj)}")
-    if type(obj["n"]) is not int or obj["n"] < 1:
-        raise FormatError(lineno, "n must be a positive integer")
-    if not isinstance(obj["sets"], list):
-        raise FormatError(lineno, "sets must be an array")
-    members = []
-    for si, raw in enumerate(obj["sets"]):
-        if not isinstance(raw, list) or not all(type(x) is int for x in raw):
-            raise FormatError(lineno, f"set {si} must be an array of integers")
-        if any(raw[i] >= raw[i + 1] for i in range(len(raw) - 1)):
-            raise FormatError(lineno, f"set {si} is not strictly sorted")
-        members.append(tuple(raw))
-    try:
-        return PlainFamily(obj["n"], tuple(members))
-    except (Error, ValueError) as exc:
-        raise FormatError(lineno, str(exc)) from None
-
-
-def parse_plain_families(lines) -> list[PlainFamily]:
-    """Parse one plain family per line; blank lines are errors, numbered from 1."""
-    out = []
-    for lineno, line in enumerate(lines, start=1):
-        text = line.rstrip("\n")
-        if not text.strip():
-            raise FormatError(lineno, "blank line")
-        out.append(parse_plain_family(text, lineno))
-    return out
-
-
-def read_plain_families(path) -> list[PlainFamily]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_plain_families(fh)
-
-
-def write_plain_families(path, families) -> None:
-    text = "".join(plain_family_to_json(f) + "\n" for f in families)
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
-
-
 def reference_certificate_to_json(cert) -> str:
     """The certificate bytes with every pair rebuilt as a list, through json.dumps."""
     obj = {
@@ -256,57 +116,31 @@ def assert_target_refused(cert, i: int, target) -> None:
         replace(cert, targets=targets)
 
 
-def min_pairwise_intersection(fam: PlainFamily) -> int:
-    """Smallest |X & Y| over unordered pairs of distinct members.
-
-    This is the largest t for which the family is t-intersecting.
-    Families with fewer than two members are t-intersecting for every
-    t up to the member size, so the caller decides; here that is an
-    error.
+def min_pairwise_intersection(members) -> int:
+    """Smallest |X & Y| over pairs of distinct members: the largest t
+    for which they are t-intersecting.  Fewer than two members are
+    t-intersecting up to the member size, which is returned.
     """
-    if len(fam) < 2:
-        raise TooFewMembers("need at least 2 members for a pairwise minimum")
-    sets = [set(m) for m in fam.members]
-    best = fam.size
-    for i in range(len(sets)):
-        si = sets[i]
-        for j in range(i + 1, len(sets)):
-            c = len(si & sets[j])
-            if c < best:
-                best = c
-                if best == 0:
-                    return 0
+    sets = [set(m) for m in members]
+    best = len(members[0])
+    for i, si in enumerate(sets):
+        for sj in sets[i + 1 :]:
+            best = min(best, len(si & sj))
+            if best == 0:
+                return 0
     return best
 
 
-@dataclass(frozen=True)
-class KatonaReport:
-    shadow_size: int
-    family_size: int
-    holds: bool
+def katona_holds(members, t: int) -> bool:
+    """Katona's intersection-shadow inequality on t-intersecting plain s-sets.
 
-
-def katona_check(fam: PlainFamily, t: int) -> KatonaReport:
-    """Compare a t-intersecting family of s-sets against its (s-t)-shadow.
-
-    The intersection-shadow inequality (Katona) behind the matching's
-    Hall condition.  The precondition that every two members share at
-    least t elements is checked (vacuous below two members); violating
-    it is an error.  For valid inputs ``holds`` is a theorem, so a False
-    value indicates a bug in shadow_to and test suites treat it as
-    failure.
+    It is the theorem behind the matching's Hall condition: the
+    (s - t)-shadow of a nonempty t-intersecting family of s-sets is at
+    least as large as the family.  The hypothesis is asserted, so a
+    False return is a fault in shadow_to.
     """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if not fam.members:
-        return KatonaReport(0, 0, True)
-    s = fam.size
-    if t > s:
-        raise SizeExceedsMembers(f"t={t} exceeds member size {s}")
-    if len(fam) >= 2 and min_pairwise_intersection(fam) < t:
-        raise NotTIntersecting(f"family is not {t}-intersecting")
-    sh = plain_shadow(fam, s - t)
-    return KatonaReport(len(sh), len(fam), len(sh) >= len(fam))
+    assert 0 <= t <= min_pairwise_intersection(members), f"not {t}-intersecting"
+    return len(shadow_to(members, len(members[0]) - t)) >= len(members)
 
 
 #: (6,3,2) Hilton-Milner type: the (1,1) members meeting A, and A itself.
@@ -375,8 +209,9 @@ def sf(n, k, r, sets) -> SignedFamily:
     return SignedFamily(Params(n, k, r), tuple(tuple(s) for s in sets))
 
 
-def pf(ground, sets) -> PlainFamily:
-    return PlainFamily(ground, tuple(tuple(s) for s in sets))
+def plain(sets) -> tuple:
+    """Plain sets as the library takes them: sorted int tuples, sorted."""
+    return tuple(sorted(tuple(sorted(s)) for s in sets))
 
 
 def free_tails(fam: SignedFamily) -> tuple:

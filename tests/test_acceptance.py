@@ -8,10 +8,9 @@ import itertools
 
 import pytest
 from conftest import (
-    katona_check,
+    katona_holds,
     min_pairwise_intersection,
-    pf,
-    plain_shadow,
+    plain,
     proof_step_report,
     sf,
 )
@@ -26,6 +25,7 @@ from signedfam import (
     max_intersecting_exact,
     mod_one_based,
     random_maximal_intersecting,
+    shadow_to,
     shift_signs,
     support,
     universe,
@@ -150,7 +150,7 @@ def _exhaustive_uniform_families():
         for s in range(1, min(n, 4) + 1):
             pool = list(itertools.combinations(range(1, n + 1), s))
             for mask in range(1, 1 << len(pool)):
-                yield pf(n, [pool[i] for i in range(len(pool)) if mask >> i & 1])
+                yield plain(pool[i] for i in range(len(pool)) if mask >> i & 1)
 
 
 def _random_t_intersecting(rng):
@@ -160,7 +160,7 @@ def _random_t_intersecting(rng):
         # arbitrary family; t is whatever floor it happens to have
         pool = list(itertools.combinations(range(1, n + 1), s))
         rng.shuffle(pool)
-        fam = pf(n, pool[: 2 + rng.below(11)])
+        fam = plain(pool[: 2 + rng.below(11)])
         return fam, min_pairwise_intersection(fam)
     # kernel-forced family: every member contains a fixed t-set
     t = 1 + rng.below(s - 1) if s > 1 else 0
@@ -171,23 +171,22 @@ def _random_t_intersecting(rng):
     extensions = list(itertools.combinations(rest, s - t))
     rng.shuffle(extensions)
     members = {tuple(sorted(kernel + list(ext))) for ext in extensions[: 2 + rng.below(11)]}
-    return pf(n, tuple(members)), t
+    return plain(members), t
 
 
 def test_criterion_6_katona_suite():
     failures = 0
     exhaustive = 0
     for fam in _exhaustive_uniform_families():
-        t_max = min_pairwise_intersection(fam) if len(fam) >= 2 else fam.size
-        for t in range(t_max + 1):
+        for t in range(min_pairwise_intersection(fam) + 1):
             exhaustive += 1
-            if not katona_check(fam, t).holds:
+            if not katona_holds(fam, t):
                 failures += 1
     rng = SplitMix64(60_006)
     randomized = 10_000
     for _ in range(randomized):
         fam, t = _random_t_intersecting(rng)
-        if not katona_check(fam, t).holds:
+        if not katona_holds(fam, t):
             failures += 1
     ok = failures == 0
     _report(
@@ -258,14 +257,14 @@ def test_criterion_8_property_suites():
         msize = 3 + rng.below(2)
         pool = list(itertools.combinations(range(1, n + 1), msize))
         rng.shuffle(pool)
-        big = pf(n, pool[: 2 + rng.below(7)])
-        small = pf(n, big.members[: 1 + rng.below(len(big))])
+        big = plain(pool[: 2 + rng.below(7)])
+        small = big[: 1 + rng.below(len(big))]
         s1 = rng.below(msize + 1)
         s2 = rng.below(s1 + 1)
-        if not plain_shadow(small, s1).member_set <= plain_shadow(big, s1).member_set:
-            failures.append(("monotone", big.members, small.members, s1))
-        if plain_shadow(plain_shadow(big, s1), s2) != plain_shadow(big, s2):
-            failures.append(("compose", big.members, s1, s2))
+        if not set(shadow_to(small, s1)) <= set(shadow_to(big, s1)):
+            failures.append(("monotone", big, small, s1))
+        if shadow_to(shadow_to(big, s1), s2) != shadow_to(big, s2):
+            failures.append(("compose", big, s1, s2))
 
     ok = not failures
     _report(8, ok, f"algebraic properties hold over {cases} cases per suite")

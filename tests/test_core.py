@@ -9,8 +9,6 @@ from conftest import (
     HM_A,
     TIED_DISJOINT,
     TIED_INTERSECTING,
-    NonUniform,
-    PlainFamily,
     intersecting_corpus,
     pairwise_intersecting,
     sf,
@@ -364,18 +362,3 @@ def test_family_canonical_storage():
     assert ((1, 1), (2, 2)) in fam
     assert len(fam) == 2
     assert fam == sf(3, 2, 2, [[(1, 1), (2, 1)], [(1, 1), (2, 2)]])
-
-
-def test_plain_family_validation_and_container():
-    with pytest.raises(ValueError, match=r"^ground-set size must be >= 1, got 0$"):
-        PlainFamily(0, ())
-    with pytest.raises(DuplicateElement, match=r"^element 2 repeated in \(2, 2\)$"):
-        PlainFamily(4, ((2, 2),))
-    with pytest.raises(OutOfRange, match=r"^element 5 outside \[1, 4\]$"):
-        PlainFamily(4, ((2, 5),))
-    with pytest.raises(NonUniform, match=r"^members must share a common size$"):
-        PlainFamily(4, ((1, 2), (3,)))
-    fam = PlainFamily(4, ((3, 2), (1, 2)))
-    assert list(fam) == [(1, 2), (2, 3)]
-    assert (2, 3) in fam and (3, 2) not in fam
-    assert len(fam) == 2 and fam.size == 2

@@ -7,11 +7,10 @@ import re
 import pytest
 from conftest import (
     MissingPair,
-    PlainFamily,
     assert_target_refused,
     intersecting_corpus,
     pairwise_intersecting,
-    pf,
+    plain,
     proof_step_report,
     reference_certificate_to_json,
     sf,
@@ -114,7 +113,7 @@ def test_complements_in_tail():
         (4,): [((2, 1), (3, 1)), ((2, 1), (3, 2))],
         (3,): [((2, 1), (4, 1)), ((2, 1), (4, 2))],
     }
-    assert PlainFamily(4, tuple(classes)).members == ((3,), (4,))
+    assert plain(classes) == ((3,), (4,))
     pair = sf(3, 2, 2, [[(2, 1), (3, 1)], [(2, 2), (3, 2)]])
     assert complements_in_tail(pair) == {(): list(pair.members)}
     assert complements_in_tail(sf(2, 1, 2, [[(2, 1)]])) == {(): [((2, 1),)]}
@@ -124,10 +123,10 @@ def test_complements_in_tail():
 
 
 def test_signed_versions():
-    out = signed_versions(pf(4, [[3], [4]]), 2)
+    out = signed_versions(((3,), (4,)), 2)
     assert out == (((3, 1),), ((3, 2),), ((4, 1),), ((4, 2),))
-    assert signed_versions(pf(2, [[]]), 2) == ((),)
-    assert signed_versions(pf(2, []), 2) == ()
+    assert signed_versions(((),), 2) == ((),)
+    assert signed_versions((), 2) == ()
 
 
 def test_match_identity_at_equal_size():
@@ -334,6 +333,18 @@ def test_verify_certificate_reports_misshapen_targets_in_mapping_order():
     assert verify_certificate(shared).problems == (f"target {t0} is shared by sources {[s0, s2]}",)
 
 
+def test_certificate_stores_its_targets_as_a_tuple():
+    # a list of targets builds the same value: equal, equally hashed, written alike
+    cert = assemble_injection(star(Params(4, 2, 2)))
+    for listed in (
+        InjectionCertificate(cert.domain, list(cert.targets)),
+        dataclasses.replace(cert, targets=list(cert.targets)),
+    ):
+        assert type(listed.targets) is tuple
+        assert listed == cert and hash(listed) == hash(cert)
+        assert certificate_to_json(listed) == certificate_to_json(cert)
+
+
 def in_range_corpus():
     """The intersecting_corpus() families that assemble_injection accepts."""
     for label, fam in intersecting_corpus():
@@ -416,20 +427,11 @@ SEEDED_CERTS = [
 ]
 
 
-def reference_build_supports(fam):
-    """Deduplicated supports of all members, the first step of the old free-class pipeline."""
-    return PlainFamily(fam.params.n, tuple({support(m) for m in fam.members}))
-
-
-def reference_complements_in_tail(supports, n):
-    """Complement every support within the tail {2, ..., n}."""
-    out = []
-    for m in supports.members:
-        if 1 in m:
-            raise ContainsOne(f"member {m} contains element 1")
-        mem = set(m)
-        out.append(tuple(x for x in range(2, n + 1) if x not in mem))
-    return PlainFamily(n, tuple(out))
+def reference_tail_complements(free):
+    """The distinct supports of free, each complemented within {2, ..., n}, sorted."""
+    tail = range(2, free.params.n + 1)
+    supports = {support(m) for m in free.members}
+    return plain(tuple(x for x in tail if x not in sup) for sup in supports)
 
 
 def reference_sign_assign(free, matching):
@@ -456,11 +458,11 @@ def test_free_class_images_match_reference():
     families = [fam for _, fam in in_range_corpus()] + [c.domain for c in SEEDED_CERTS]
     for fam in families:
         free = partition_family(fam).free
-        tails = reference_complements_in_tail(reference_build_supports(free), fam.params.n)
-        want = reference_sign_assign(free, match_to_shadow(tails.members, fam.params.k))
+        tails = reference_tail_complements(free)
+        want = reference_sign_assign(free, match_to_shadow(tails, fam.params.k))
         classes = complements_in_tail(free)
-        assert PlainFamily(fam.params.n, tuple(classes)) == tails
-        got = sign_assign(classes, match_to_shadow(tails.members, fam.params.k), fam.params.r)
+        assert plain(classes) == tails
+        got = sign_assign(classes, match_to_shadow(tails, fam.params.k), fam.params.r)
         assert got == want
     assert len(families) > 660
 

@@ -6,27 +6,14 @@ import sys
 from collections import namedtuple
 
 import pytest
-from conftest import (
-    assert_target_refused,
-    free_tails,
-    parse_plain_families,
-    parse_plain_family,
-    pf,
-    plain_family_to_json,
-    read_plain_families,
-    reference_certificate_to_json,
-    sf,
-    write_plain_families,
-)
+from conftest import assert_target_refused, reference_certificate_to_json, sf
 
 from signedfam import (
     Params,
     SignedFamily,
     assemble_injection,
-    partition_family,
     random_maximal_intersecting,
     star,
-    support,
     universe,
 )
 from signedfam.errors import FormatError
@@ -86,7 +73,7 @@ def test_signed_family_rejects(line, fragment):
     assert str(info.value).startswith("line 1:")
 
 
-@pytest.mark.parametrize("parse", [parse_signed_family, parse_plain_family])
+@pytest.mark.parametrize("parse", [parse_signed_family])
 def test_deeply_nested_line_is_a_format_error(parse):
     # json.loads raises RecursionError here; the reader reports the line instead
     with pytest.raises(FormatError) as info:
@@ -102,71 +89,6 @@ def test_line_numbers_reported():
     with pytest.raises(FormatError) as info:
         parse_signed_families([good, "", good])
     assert info.value.line == 2
-
-
-def test_plain_line_numbers_reported():
-    good = plain_family_to_json(pf(5, [[2, 3], [2, 4]]))
-    with pytest.raises(FormatError) as info:
-        parse_plain_families([good, "garbage"])
-    assert info.value.line == 2
-    with pytest.raises(FormatError) as info:
-        parse_plain_families([good, "", good])
-    assert info.value.line == 2
-
-
-def test_plain_family_round_trip():
-    fam = pf(5, [[2, 3], [2, 4]])
-    text = plain_family_to_json(fam)
-    assert text == '{"n":5,"sets":[[2,3],[2,4]]}'
-    assert parse_plain_family(text) == fam
-
-
-@pytest.mark.parametrize(
-    "line,fragment",
-    [
-        ('{"n":5}', "expected keys"),
-        ('{"n":5,"sets":[[3,2]]}', "sorted"),
-        ('{"n":5,"sets":[[2,2]]}', "sorted"),
-        ('{"n":5,"sets":[[2,9]]}', "outside"),
-        ('{"n":5,"sets":[[2,3],[2]]}', "common size"),
-        ('{"n":5,"sets":[[2,3],[2,3]]}', "duplicate"),
-    ],
-)
-def test_plain_family_rejects(line, fragment):
-    with pytest.raises(FormatError) as info:
-        parse_plain_family(line, lineno=3)
-    assert fragment in str(info.value)
-    assert info.value.line == 3
-
-
-@pytest.mark.parametrize(
-    "line,message",
-    [
-        ('{"n":true,"sets":[[2,3]]}', "n must be a positive integer"),
-        ('{"n":5,"sets":[[2,true]]}', "set 0 must be an array of integers"),
-        ('{"n":5,"sets":[[2,3],[2.0,4]]}', "set 1 must be an array of integers"),
-    ],
-)
-def test_plain_family_rejects_non_integers(line, message):
-    # bools and floats are not integers; text and line as the reader always gave
-    good = plain_family_to_json(pf(5, [[2, 3], [2, 4]]))
-    with pytest.raises(FormatError) as info:
-        parse_plain_families([good, good, line])
-    assert str(info.value) == f"line 3: {message}"
-    assert info.value.line == 3
-
-
-def test_plain_families_multi_line():
-    fams = [pf(5, [[2, 3], [2, 4]]), pf(4, [[1], [2]])]
-    lines = [plain_family_to_json(f) for f in fams]
-    assert parse_plain_families(lines) == fams
-
-
-def test_plain_family_file_round_trip(tmp_path):
-    path = tmp_path / "plain.jsonl"
-    fams = [pf(5, [[2, 3], [2, 4]]), pf(6, [[2, 3, 4]])]
-    write_plain_families(path, fams)
-    assert read_plain_families(path) == fams
 
 
 def test_certificate_json_shape():
@@ -207,11 +129,6 @@ def reference_signed_family_to_json(fam):
         "r": fam.params.r,
         "sets": [[[x, a] for x, a in m] for m in fam.members],
     }
-    return json.dumps(obj, separators=(",", ":"))
-
-
-def reference_plain_family_to_json(fam):
-    obj = {"n": fam.ground, "sets": [list(m) for m in fam.members]}
     return json.dumps(obj, separators=(",", ":"))
 
 
@@ -286,9 +203,6 @@ def seeded_families():
 def test_encoders_match_reference_bytes():
     for fam in seeded_families():
         assert signed_family_to_json(fam) == reference_signed_family_to_json(fam)
-        supports = pf(fam.params.n, {support(m) for m in partition_family(fam).free})
-        for plain in (supports, pf(fam.params.n, free_tails(fam))):
-            assert plain_family_to_json(plain) == reference_plain_family_to_json(plain)
         cert = assemble_injection(fam)
         assert certificate_to_json(cert) == reference_certificate_to_json(cert)
 
@@ -429,17 +343,6 @@ def test_compact_lines_parse_without_json_loads(monkeypatch):
     assert parse_signed_family('{"n":4,"k":2,"r":2,"sets":[]}') == sf(4, 2, 2, [])
 
 
-def compact_certificate_reference(cert):
-    """The certificate bytes when every object went through compact_json."""
-    blocks = cert.block_sizes
-    obj = {
-        "params": {"n": cert.params.n, "k": cert.params.k, "r": cert.params.r},
-        "map": [{"from": s, "to": t} for s, t in zip(cert.domain.members, cert.targets)],
-        "blocks": {"a0": blocks[0], "a": blocks[1:]},
-    }
-    return json.dumps(obj, separators=(",", ":"))
-
-
 Pair = namedtuple("Pair", "x a")
 
 
@@ -465,7 +368,7 @@ REFUSED, WRITTEN = True, False
 )
 def test_certificate_bytes_for_odd_targets(replace, refused):
     # a target that is not a tuple of exact-int pairs never reaches the writer;
-    # a tuple of such pairs of any size or range is written as compact_json would
+    # a tuple of such pairs of any size or range is written as the reference writes it
     cert = assemble_injection(random_maximal_intersecting(Params(9, 4, 2), 3))
     i = len(cert.targets) // 2
     target = replace(cert.targets[i])
@@ -473,5 +376,4 @@ def test_certificate_bytes_for_odd_targets(replace, refused):
         assert_target_refused(cert, i, target)
         return
     odd = InjectionCertificate(cert.domain, cert.targets[:i] + (target,) + cert.targets[i + 1 :])
-    text = certificate_to_json(odd)
-    assert text == compact_certificate_reference(odd) == reference_certificate_to_json(odd)
+    assert certificate_to_json(odd) == reference_certificate_to_json(odd)

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from conftest import free_tails, pf
+from conftest import free_tails, plain
 
 from signedfam import (
     Params,
@@ -92,8 +92,8 @@ def test_matching_has_no_recursion_limit():
 
 def tails_in(ground, sets):
     """Sorted tails and their k: tail complements in {2, ..., ground} have size ground - 1 - k."""
-    fam = pf(ground, sets)
-    return fam.members, ground - 1 - fam.size
+    tails = plain(sets)
+    return tails, ground - 1 - len(tails[0])
 
 
 def outcome(match, tails, k):

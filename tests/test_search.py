@@ -1,5 +1,7 @@
 """Search oracles: exact maximum, maximal enumeration, seeded sampling."""
 
+import sys
+import threading
 from collections import OrderedDict
 from math import comb
 
@@ -539,6 +541,47 @@ def test_graph_cache_holds_the_sample_graphs_together(monkeypatch):
             random_maximal_intersecting(p, 0)
     assert builds == ps
     assert cached_bits() == 1120**2 + 2268**2 + 2016**2 <= search.MAX_GRAPH_BITS
+
+
+#: V = 24, 24, 25, 26, 27, 27: any two graphs fit in 2 * 27^2 bits, no three do.
+RACE_PARAMS = [
+    Params(4, 2, 2),
+    Params(6, 1, 4),
+    Params(5, 1, 5),
+    Params(13, 1, 2),
+    Params(3, 2, 3),
+    Params(3, 3, 3),
+]
+
+
+def test_graph_cache_is_safe_across_threads(monkeypatch):
+    # four threads share a cache that holds two graphs, so lookups race evictions
+    fresh_graph_cache(monkeypatch)
+    monkeypatch.setattr(search, "MAX_GRAPH_BITS", 2 * 27**2)
+    orders = [RACE_PARAMS[t:] + RACE_PARAMS[:t] for t in range(4)]
+    want = [[random_maximal_intersecting(p, t) for p in orders[t]] for t in range(4)]
+    failures = []
+
+    def run(t):
+        try:
+            if [random_maximal_intersecting(p, t) for p in orders[t]] != want[t]:
+                failures.append(f"thread {t} drew other families")
+        except Exception as exc:
+            failures.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(100):
+            threads = [threading.Thread(target=run, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert failures == []
+    assert len(search._graphs) == 2
 
 
 @pytest.mark.parametrize(

@@ -43,7 +43,8 @@ PUBLIC = [
     "verify_certificate",
 ]
 
-#: Helpers only tests called; they live in tests/conftest.py as references.
+#: Helpers only tests called.  The library must not define them; some live
+#: on in tests/conftest.py as test references, the plain-family ones are gone.
 TEST_ONLY = [
     "strip_first",
     "MissingPair",
