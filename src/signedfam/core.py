@@ -11,6 +11,10 @@ are all structural.
 Two signed sets intersect when they share an identical (element, sign)
 pair.  Sharing an element under different signs does not count.
 
+Numbers must be exact ints: Params' n, k and r, a signed set's
+elements and signs, and the caps of universe and star.  An equal bool
+or float, such as True or 2.0, is refused.
+
 Everything here is an immutable value; operations never mutate their
 arguments and are safe to run concurrently on shared inputs.
 """
@@ -18,6 +22,7 @@ arguments and are safe to run concurrently on shared inputs.
 from __future__ import annotations
 
 import itertools
+import reprlib
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -50,7 +55,10 @@ class Params:
     def __post_init__(self) -> None:
         # bool is an int subclass, so the exact type is what is checked
         if {type(self.n), type(self.k), type(self.r)} != {int}:
-            raise ValueError(f"n, k and r must be integers, got {self}")
+            # reprlib shortens a long or deeply nested value, which repr
+            # would print whole or recurse into past the recursion limit
+            shown = ", ".join(f"{f}={reprlib.repr(getattr(self, f))}" for f in "nkr")
+            raise ValueError(f"n, k and r must be integers, got Params({shown})")
         if not 1 <= self.k <= self.n:
             raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
         if self.r < 1:
@@ -212,18 +220,21 @@ def bound_value(params: Params) -> int:
     return params.r ** (params.k - 1) * comb(params.n - 1, params.k - 1)
 
 
-def _check_cap(cap: int) -> None:
-    if cap < 0:
-        raise ValueError(f"cap must be >= 0, got {cap}")
+def _check_count(name: str, value: int) -> None:
+    """Refuse a cap or budget that is not an exact int >= 0 (2.0 and True included)."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 def universe(params: Params, cap: int = DEFAULT_CAP) -> SignedFamily:
     """All signed k-sets on [n] with signs in [r].
 
-    Raises ValueError for a negative cap, and TooLarge when the member
-    count r^k * C(n, k) exceeds cap.
+    Raises ValueError for a cap that is not an int >= 0, and TooLarge
+    when the member count r^k * C(n, k) exceeds cap.
     """
-    _check_cap(cap)
+    _check_count("cap", cap)
     total = params.r ** params.k * comb(params.n, params.k)
     if total > cap:
         raise TooLarge(f"universe has {total} members, cap is {cap}")
@@ -242,10 +253,10 @@ def star(params: Params, cap: int = DEFAULT_CAP) -> SignedFamily:
     """All members of the universe containing the pair (1, 1).
 
     This is the canonical extremal intersecting family; its size is
-    exactly bound_value(params).  Raises ValueError for a negative cap,
-    and TooLarge when that size exceeds cap.
+    exactly bound_value(params).  Raises ValueError for a cap that is
+    not an int >= 0, and TooLarge when that size exceeds cap.
     """
-    _check_cap(cap)
+    _check_count("cap", cap)
     total = bound_value(params)
     if total > cap:
         raise TooLarge(f"star has {total} members, cap is {cap}")

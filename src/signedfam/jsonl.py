@@ -9,13 +9,13 @@ Certificate JSON:
 
     {"params":{"n":4,"k":2,"r":2},"map":[{"from":[[2,1],[3,1]],"to":[[1,1],[4,1]]}],"blocks":{"a0":1,"a":[0,0]}}
 
-Readers are strict: non-canonical or invalid lines (unsorted pairs,
-duplicate sets, wrong sizes, out-of-range values, unexpected keys,
-bytes that are not UTF-8, a byte order mark) are rejected with a
-FormatError carrying the 1-based line number.  A line in exactly the
-bytes signed_family_to_json writes is decoded without json.loads; any
-other line, valid or not, goes through json.loads and the general
-checks, which word every rejection.
+Readers are strict: an invalid or non-canonical line is a FormatError
+carrying its 1-based line number.  A line in exactly the bytes
+signed_family_to_json writes is decoded without json.loads.  Any other
+line goes through json.loads, and the reader itself checks only UTF-8,
+JSON syntax and shape (four keys, arrays, pairs of two exact ints),
+element order within a set and duplicate sets; Params words a bad n, k
+or r, and make_signed_set a set's ranges, repeated elements and size.
 
 Writers emit compact UTF-8 with LF line endings, byte-stable for a fixed
 input: the bytes of compact_json.  certificate_to_json writes its map
@@ -29,12 +29,12 @@ from __future__ import annotations
 import json
 import re
 import sys
-from itertools import chain, repeat
+from itertools import chain, pairwise, repeat
 from operator import itemgetter, lt
 from pathlib import Path
 
-from .core import Params, SignedFamily, _canonical_family
-from .errors import FormatError
+from .core import Params, SignedFamily, _canonical_family, make_signed_set
+from .errors import Error, FormatError
 from .injection import InjectionCertificate
 
 
@@ -135,55 +135,36 @@ def parse_signed_family(line: str, lineno: int = 1) -> SignedFamily:
         raise FormatError(lineno, "expected a JSON object")
     if set(obj) != {"n", "k", "r", "sets"}:
         raise FormatError(lineno, f"expected keys n, k, r, sets; got {sorted(obj)}")
-    # json.loads yields exact list and int objects (bool is its own type),
-    # so type checks stand in for isinstance throughout
-    for key in ("n", "k", "r"):
-        if type(obj[key]) is not int:
-            raise FormatError(lineno, f"{key} must be an integer")
     try:
         params = Params(obj["n"], obj["k"], obj["r"])
     except ValueError as exc:
         raise FormatError(lineno, str(exc)) from None
     if not isinstance(obj["sets"], list):
         raise FormatError(lineno, "sets must be an array")
-    n, r = params.n, params.r
-    members = []
-    seen = set()
+    members = {}  # in line order, so that sorted() on an in-order line is one linear scan
     for si, raw in enumerate(obj["sets"]):
+        # json.loads yields exact list and int objects (bool is its own
+        # type), so type checks stand in for isinstance
         if type(raw) is not list:
             raise FormatError(lineno, f"set {si} must be an array of pairs")
-        prev = 0
         for pr in raw:
-            if (
-                type(pr) is not list
-                or len(pr) != 2
-                or type(pr[0]) is not int
-                or type(pr[1]) is not int
-            ):
+            if type(pr) is not list or list(map(type, pr)) != [int, int]:
                 raise FormatError(
                     lineno, f"set {si}: pairs must be [element, sign] integer arrays"
                 )
-            x, a = pr
-            if x <= prev:
-                raise FormatError(
-                    lineno, f"set {si} is not strictly element-sorted at element {x}"
-                )
-            prev = x
-            if x > n:  # and x >= 1, as x > prev >= 0
-                raise FormatError(lineno, f"set {si}: element {x} outside [1, {n}]")
-            if not 1 <= a <= r:
-                raise FormatError(lineno, f"set {si}: sign {a} outside [1, {r}]")
-        if len(raw) != params.k:
-            raise FormatError(lineno, f"set {si} has {len(raw)} pairs, expected {params.k}")
         member = tuple(map(tuple, raw))
-        if member in seen:
+        try:
+            canon = make_signed_set(member, params)
+        except Error as exc:
+            raise FormatError(lineno, f"set {si}: {exc}") from None
+        if canon != member:  # elements are distinct, so some pair follows a larger one
+            x = next(b[0] for a, b in pairwise(member) if b[0] < a[0])
+            raise FormatError(lineno, f"set {si} is not strictly element-sorted at element {x}")
+        if member in members:
             raise FormatError(lineno, f"duplicate set {list(member)}")
-        seen.add(member)
-        members.append(member)
-    # the checks above make every member canonical and distinct, as
-    # _canonical_family requires; sort() on an in-order line is one linear scan
-    members.sort()
-    return _canonical_family(params, tuple(members))
+        members[member] = None
+    # every member is canonical and distinct, as _canonical_family requires
+    return _canonical_family(params, tuple(sorted(members)))
 
 
 def parse_signed_families(lines) -> list[SignedFamily]:

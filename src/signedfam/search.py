@@ -25,7 +25,9 @@ callers never see it mid-update.  On top of that graph:
   128-bit lane per draw of a single integer.
 
 Everything is sequential and deterministic: identical inputs, budgets,
-and seeds always produce identical outputs.
+and seeds always produce identical outputs.  Seeds, caps and budgets
+must be exact ints, as Params' n, k and r must: a bool or a float such
+as 2.0 raises ValueError before any graph is built.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .core import (
     Params,
     SignedFamily,
     _canonical_family,
-    _check_cap,
+    _check_count,
     _cover_rows,
     universe,
 )
@@ -82,10 +84,13 @@ class SplitMix64:
     the output is the new state passed through two xor-shift-multiply
     rounds: z ^= z >> 30; z *= 0xBF58476D1CE4E5B9; z ^= z >> 27;
     z *= 0x94D049BB133111EB; z ^= z >> 31 (all modulo 2^64).  The seed,
-    the initial state, must lie in [0, 2^64); ValueError otherwise.
+    the initial state, must be an int (not a bool or a float) in
+    [0, 2^64); ValueError otherwise.
     """
 
     def __init__(self, seed: int) -> None:
+        if type(seed) is not int:
+            raise ValueError(f"seed must be an integer, got {seed!r}")
         if not 0 <= seed <= _MASK64:
             raise ValueError(f"seed must be in [0, 2^64), got {seed}")
         self._state = seed
@@ -208,10 +213,10 @@ def max_intersecting_exact(
     maximum clique contains vertex 0.  Nodes are search-tree
     expansions; when the budget runs out the best clique so far is
     returned with exhausted = False and nodes_explored = node_budget.
-    A negative budget raises ValueError before the graph is built.
+    A budget that is not an int >= 0 raises ValueError before the graph
+    is built.
     """
-    if node_budget < 0:
-        raise ValueError(f"node budget must be >= 0, got {node_budget}")
+    _check_count("node budget", node_budget)
     verts, adj = _intersection_graph(params)
     nv = len(verts)
     best_clique = _greedy_clique(adj, range(nv))
@@ -289,9 +294,9 @@ def enumerate_maximal_intersecting(
     verdicts at the child's turn, so the discovery order is unchanged.
     Raises CapExceeded carrying the first cap families found, in
     canonical order, when there are more than cap maximal families, and
-    ValueError before any work for a negative cap.
+    ValueError before any work for a cap that is not an int >= 0.
     """
-    _check_cap(cap)
+    _check_count("cap", cap)
     verts, adj = _intersection_graph(params)
     found: list[tuple[int, ...]] = []
     cur: list[int] = []
@@ -365,8 +370,8 @@ def random_maximal_intersecting(params: Params, seed: int) -> SignedFamily:
 
     The universe is shuffled by a SplitMix64-driven Fisher-Yates pass,
     then scanned greedily: a set is kept whenever it intersects every
-    set kept so far; the result is maximal.  A seed outside [0, 2^64)
-    raises ValueError before the graph is built.
+    set kept so far; the result is maximal.  A seed that is not an int
+    in [0, 2^64) raises ValueError before the graph is built.
     """
     rng = SplitMix64(seed)
     verts, adj = _intersection_graph(params)

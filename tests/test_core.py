@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 from conftest import (
@@ -52,6 +53,19 @@ def test_params_refuse_non_integers(args):
     # each compares equal to valid integer parameters, and bool is an int subclass
     with pytest.raises(ValueError, match=r"^n, k and r must be integers, got Params\("):
         Params(*args)
+
+
+def test_params_refusal_shows_long_values_shortened():
+    # repr would print a long value whole, and recurse into a deep one
+    # past the recursion limit
+    deep = []
+    for _ in range(sys.getrecursionlimit() + 10):
+        deep = [deep]
+    for value in ("x" * 10**6, deep):
+        with pytest.raises(ValueError) as info:
+            Params(4, value, 2)
+        assert str(info.value).startswith("n, k and r must be integers, got Params(n=4, k=")
+        assert len(str(info.value)) < 100
 
 
 @pytest.mark.parametrize(
@@ -330,6 +344,9 @@ def test_universe_and_star_reject_negative_cap():
         # TooLarge here would mean the members were counted first
         with pytest.raises(ValueError, match=r"^cap must be >= 0, got -1$"):
             build(Params(30, 10, 3), cap=-1)
+        for cap in (2.0, 1.5, True):
+            with pytest.raises(ValueError, match=rf"^cap must be an integer, got {cap}$"):
+                build(Params(30, 10, 3), cap=cap)
         with pytest.raises(TooLarge):
             build(Params(3, 1, 2), cap=0)
 

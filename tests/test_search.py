@@ -328,10 +328,12 @@ def bit_indices(mask):
         mask ^= b
 
 
-def generator_pivot_cliques(params, cap):
+def generator_pivot_cliques(params, cap, pivots=None):
     """Bron-Kerbosch with the full generator pivot scan, in discovery order.
 
-    Returns the first cap + 1 maximal cliques as index tuples.
+    Returns the first cap + 1 maximal cliques as index tuples.  When a
+    pivots list is given, the pivot of every call with at least two
+    candidates is appended to it, in call order.
     """
     verts, adj = search._intersection_graph(params)
     found, cur = [], []
@@ -347,6 +349,8 @@ def generator_pivot_cliques(params, cap):
             c = (p_mask & adj[u]).bit_count()
             if c > best:
                 best, pivot = c, u
+        if pivots is not None and p_mask.bit_count() >= 2:
+            pivots.append(pivot)
         p, x = p_mask, x_mask
         for v in bit_indices(p_mask & ~adj[pivot]):
             cur.append(v)
@@ -381,6 +385,31 @@ def test_enumerate_matches_generator_pivot_reference(params):
     fams = enumerate_maximal_intersecting(params)
     ref = generator_pivot_cliques(params, 10**7)
     assert [f.members for f in fams] == sorted(ref)
+
+
+def test_enumerate_pivots_match_generator_pivot_reference(monkeypatch):
+    # bk complements only its pivot's row, so rows that log their vertex
+    # when complemented log the pivot of every call, in call order; the
+    # listing and its order cannot see a pivot change that keeps them
+    params = Params(5, 3, 2)
+    want = []
+    generator_pivot_cliques(params, 10**7, pivots=want)
+    verts, adj = search._intersection_graph(params)
+    got = []
+
+    class LoggedRow(int):
+        def __invert__(self):
+            got.append(self.vertex)
+            return ~int(self)
+
+    rows = tuple(LoggedRow(row) for row in adj)
+    for v, row in enumerate(rows):
+        row.vertex = v
+    monkeypatch.setattr(search, "_intersection_graph", lambda p: (verts, rows))
+    fams = enumerate_maximal_intersecting(params)
+    assert len(fams) == 3422
+    assert len(got) == len(want) > 10_000
+    assert got == want
 
 
 #: maximal family counts of the cap grid's parameters
@@ -435,6 +464,9 @@ def test_exact_rejects_negative_budget_before_building(monkeypatch):
     monkeypatch.setattr(search, "universe", refuse_universe)
     with pytest.raises(ValueError, match=r"^node budget must be >= 0, got -1$"):
         max_intersecting_exact(Params(20, 5, 2), node_budget=-1)
+    for budget in (2.0, 1.5, True):
+        with pytest.raises(ValueError, match=rf"^node budget must be an integer, got {budget}$"):
+            max_intersecting_exact(Params(20, 5, 2), node_budget=budget)
 
 
 def test_enumerate_rejects_negative_cap_before_building(monkeypatch):
@@ -445,11 +477,18 @@ def test_enumerate_rejects_negative_cap_before_building(monkeypatch):
     monkeypatch.setattr(search, "universe", refuse_universe)
     with pytest.raises(ValueError, match=r"^cap must be >= 0, got -1$"):
         enumerate_maximal_intersecting(Params(20, 5, 2), cap=-1)
+    for cap in (2.0, 1.5, True):
+        with pytest.raises(ValueError, match=rf"^cap must be an integer, got {cap}$"):
+            enumerate_maximal_intersecting(Params(20, 5, 2), cap=cap)
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64, -(2**64)])
+@pytest.mark.parametrize("seed", [-1, 2**64, -(2**64), 2.0, 1.5, True])
 def test_out_of_range_seed_is_refused_before_building(monkeypatch, seed):
-    text = rf"^seed must be in \[0, 2\^64\), got {seed}$"
+    # a float or bool seed would pass the range test, then fail mid-shuffle
+    if type(seed) is int:
+        text = rf"^seed must be in \[0, 2\^64\), got {seed}$"
+    else:
+        text = rf"^seed must be an integer, got {seed}$"
     with pytest.raises(ValueError, match=text):
         SplitMix64(seed)
     monkeypatch.setattr(search, "universe", refuse_universe)
