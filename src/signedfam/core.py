@@ -44,6 +44,25 @@ PlainSet = tuple[int, ...]
 DEFAULT_CAP = 10_000_000
 
 
+class _Shown(reprlib.Repr):
+    """How error texts show a value: reprlib's shortened repr.
+
+    A plain repr would print a long value whole, or recurse into a deep
+    one past the recursion limit.  An int too long for str() (past
+    sys.get_int_max_str_digits() digits) shows as its size in bits.
+    """
+
+    def repr_int(self, x, level):
+        try:
+            return super().repr_int(x, level)
+        except ValueError:
+            sign = "negative " if x < 0 else ""
+            return f"<{sign}{x.bit_length()}-bit int>"
+
+
+_shown = _Shown().repr
+
+
 @dataclass(frozen=True)
 class Params:
     """Problem parameters: ground-set size n, set size k, sign count r."""
@@ -55,14 +74,12 @@ class Params:
     def __post_init__(self) -> None:
         # bool is an int subclass, so the exact type is what is checked
         if {type(self.n), type(self.k), type(self.r)} != {int}:
-            # reprlib shortens a long or deeply nested value, which repr
-            # would print whole or recurse into past the recursion limit
-            shown = ", ".join(f"{f}={reprlib.repr(getattr(self, f))}" for f in "nkr")
+            shown = ", ".join(f"{f}={_shown(getattr(self, f))}" for f in "nkr")
             raise ValueError(f"n, k and r must be integers, got Params({shown})")
         if not 1 <= self.k <= self.n:
-            raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
+            raise ValueError(f"need 1 <= k <= n, got k={_shown(self.k)}, n={_shown(self.n)}")
         if self.r < 1:
-            raise ValueError(f"need r >= 1, got r={self.r}")
+            raise ValueError(f"need r >= 1, got r={_shown(self.r)}")
 
 
 def make_signed_set(pairs, params: Params) -> SignedSet:
@@ -223,9 +240,9 @@ def bound_value(params: Params) -> int:
 def _check_count(name: str, value: int) -> None:
     """Refuse a cap or budget that is not an exact int >= 0 (2.0 and True included)."""
     if type(value) is not int:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {_shown(value)}")
     if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
+        raise ValueError(f"{name} must be >= 0, got {_shown(value)}")
 
 
 def universe(params: Params, cap: int = DEFAULT_CAP) -> SignedFamily:
@@ -237,7 +254,7 @@ def universe(params: Params, cap: int = DEFAULT_CAP) -> SignedFamily:
     _check_count("cap", cap)
     total = params.r ** params.k * comb(params.n, params.k)
     if total > cap:
-        raise TooLarge(f"universe has {total} members, cap is {cap}")
+        raise TooLarge(f"universe has {_shown(total)} members, cap is {_shown(cap)}")
     signs = range(1, params.r + 1)
     members = [
         tuple(zip(elems, vec))
@@ -259,7 +276,7 @@ def star(params: Params, cap: int = DEFAULT_CAP) -> SignedFamily:
     _check_count("cap", cap)
     total = bound_value(params)
     if total > cap:
-        raise TooLarge(f"star has {total} members, cap is {cap}")
+        raise TooLarge(f"star has {_shown(total)} members, cap is {_shown(cap)}")
     signs = range(1, params.r + 1)
     members = [
         ((1, 1),) + tuple(zip(elems, vec))

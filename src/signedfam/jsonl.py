@@ -99,7 +99,8 @@ def _parse_compact(line: str) -> SignedFamily | None:
             return None
     members = list(zip(*[iter(pairs)] * k))
     # strictly increasing members are sorted and distinct; a line from
-    # signed_family_to_json is in order, so the sort seldom runs
+    # signed_family_to_json is in order, but the benchmark's inject_big
+    # line and CI's big.jsonl are not, so both take the sort on every run
     if not all(map(lt, members, members[1:])):
         members.sort()
         if not all(map(lt, members, members[1:])):

@@ -48,6 +48,7 @@ from .core import (
     _canonical_family,
     _check_count,
     _cover_rows,
+    _shown,
     universe,
 )
 from .errors import CapExceeded, TooLarge
@@ -90,9 +91,9 @@ class SplitMix64:
 
     def __init__(self, seed: int) -> None:
         if type(seed) is not int:
-            raise ValueError(f"seed must be an integer, got {seed!r}")
+            raise ValueError(f"seed must be an integer, got {_shown(seed)}")
         if not 0 <= seed <= _MASK64:
-            raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+            raise ValueError(f"seed must be in [0, 2^64), got {_shown(seed)}")
         self._state = seed
 
     def next_u64(self) -> int:
@@ -174,7 +175,9 @@ def _intersection_graph(params: Params):
             nv = params.r ** params.k * comb(params.n, params.k)
             bits = nv * nv
             if bits > MAX_GRAPH_BITS:
-                raise TooLarge(f"graph has {nv}^2 adjacency bits, limit is {MAX_GRAPH_BITS}")
+                raise TooLarge(
+                    f"graph has {_shown(nv)}^2 adjacency bits, limit is {MAX_GRAPH_BITS}"
+                )
             cached = sum(len(verts) ** 2 for verts, _ in _graphs.values())
             while cached + bits > MAX_GRAPH_BITS:
                 verts, _ = _graphs.popitem(last=False)[1]

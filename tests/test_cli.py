@@ -296,6 +296,19 @@ def test_zero_cap_exit_3(capsys):
     assert stderr == "error: universe has 6 members, cap is 0\n"
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["universe"], ["star"], ["search"], ["verify-bound"], ["random-family", "--seed", "1"]],
+)
+def test_size_too_long_to_print_exit_3(capsys, command):
+    # the member count has 9,029 digits, past str()'s default limit of 4,300
+    code, stdout, stderr = run(capsys, *command, "-n", "20000", "-k", "10000", "-r", "2")
+    assert code == 3
+    assert stdout == ""
+    assert stderr.startswith("error: ")
+    assert "sys." not in stderr
+
+
 @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
 def test_out_of_range_seed_exit_2(capsys, seed):
     code, stdout, stderr = run(

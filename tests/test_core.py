@@ -332,6 +332,43 @@ def test_shift_signs_family_identity_and_cycle():
         assert len(set(shift_signs_family(members, q, 3))) == len(members)
 
 
+#: An int past str()'s default limit of 4,300 decimal digits.
+HUGE = 10**5000
+
+
+@pytest.mark.parametrize(
+    "refuse, message",
+    [
+        (
+            lambda: Params(HUGE, 2.0, 2),
+            "n, k and r must be integers, got Params(n=<16610-bit int>, k=2.0, r=2)",
+        ),
+        (lambda: Params(3, HUGE, 2), "need 1 <= k <= n, got k=<16610-bit int>, n=3"),
+        (lambda: Params(3, 2, -HUGE), "need r >= 1, got r=<negative 16610-bit int>"),
+        (
+            lambda: universe(Params(3, 1, 2), cap=-HUGE),
+            "cap must be >= 0, got <negative 16610-bit int>",
+        ),
+        (lambda: SplitMix64(HUGE), "seed must be in [0, 2^64), got <16610-bit int>"),
+    ],
+    ids=["params-type", "params-k", "params-r", "cap", "seed"],
+)
+def test_refusals_word_their_rule_for_ints_too_long_to_print(refuse, message):
+    # str() of such an int raises, and its text would name sys.set_int_max_str_digits
+    with pytest.raises(ValueError) as info:
+        refuse()
+    assert str(info.value) == message
+
+
+def test_refusals_shorten_long_ints():
+    # a 902-digit count prints as reprlib shortens it, not whole
+    with pytest.raises(TooLarge) as info:
+        universe(Params(2000, 1000, 2))
+    assert str(info.value) == (
+        "universe has 219461209714179544...8160583062121349120 members, cap is 10000000"
+    )
+
+
 def test_universe_and_star_cap():
     with pytest.raises(TooLarge):
         universe(Params(30, 10, 3), cap=1000)

@@ -168,3 +168,6 @@ def test_member_size_leaving_no_shadow_size_has_no_matching():
     message = r"^k=0 leaves no \(k-1\)-subsets to match to$"
     with pytest.raises(NoPerfectMatching, match=message):
         match_to_shadow(((1, 2),), 0)
+    # an empty input is refused the same way, not matched vacuously
+    with pytest.raises(NoPerfectMatching, match=message):
+        match_to_shadow((), 0)
