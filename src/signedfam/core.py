@@ -237,6 +237,38 @@ def bound_value(params: Params) -> int:
     return params.r ** (params.k - 1) * comb(params.n - 1, params.k - 1)
 
 
+#: Counts below this, which str() prints in full by default, are worked out exactly.
+_PRINTABLE = 10**4300
+
+
+def _signed_count(n: int, k: int, r: int, limit: int) -> tuple[int, str]:
+    """r^k * C(n, k), or a lower bound on it past limit, and how a refusal shows it.
+
+    The count of signed k-sets on [n] with r signs is reached through
+    the exact partial counts r^i * C(n, i), for i up to min(k, n - k),
+    and then the factors r still missing; each one is a lower bound on
+    the count.  The walk stops at the first that passes limit and has
+    more than 4,300 digits, so a count too long to print costs no more
+    than that.  The count is then shown as more than that bound; any
+    other count is exact and shown as _shown shows it.
+    """
+    floor = max(limit, _PRINTABLE - 1)
+    m = min(k, n - k)
+    count = 1
+    for i in range(m):
+        if count > floor:
+            return count, f"more than {_shown(count)}"
+        count = count * r * (n - i) // (i + 1)
+    if r > 1 and k > m:
+        # r^j > floor once j * (r.bit_length() - 1) reaches floor's bit length
+        j = floor.bit_length() // (r.bit_length() - 1) + 1
+        if k - m > j:
+            count *= r**j
+            return count, f"more than {_shown(count)}"
+        count *= r ** (k - m)
+    return count, _shown(count)
+
+
 def _check_count(name: str, value: int) -> None:
     """Refuse a cap or budget that is not an exact int >= 0 (2.0 and True included)."""
     if type(value) is not int:
@@ -252,9 +284,9 @@ def universe(params: Params, cap: int = DEFAULT_CAP) -> SignedFamily:
     when the member count r^k * C(n, k) exceeds cap.
     """
     _check_count("cap", cap)
-    total = params.r ** params.k * comb(params.n, params.k)
+    total, shown = _signed_count(params.n, params.k, params.r, cap)
     if total > cap:
-        raise TooLarge(f"universe has {_shown(total)} members, cap is {_shown(cap)}")
+        raise TooLarge(f"universe has {shown} members, cap is {_shown(cap)}")
     signs = range(1, params.r + 1)
     members = [
         tuple(zip(elems, vec))
@@ -274,9 +306,10 @@ def star(params: Params, cap: int = DEFAULT_CAP) -> SignedFamily:
     not an int >= 0, and TooLarge when that size exceeds cap.
     """
     _check_count("cap", cap)
-    total = bound_value(params)
+    # the star's members are (1, 1) and a signed (k-1)-set on {2, ..., n}
+    total, shown = _signed_count(params.n - 1, params.k - 1, params.r, cap)
     if total > cap:
-        raise TooLarge(f"star has {_shown(total)} members, cap is {_shown(cap)}")
+        raise TooLarge(f"star has {shown} members, cap is {_shown(cap)}")
     signs = range(1, params.r + 1)
     members = [
         ((1, 1),) + tuple(zip(elems, vec))

@@ -117,23 +117,28 @@ def match_to_shadow(tails: tuple[PlainSet, ...], k: int) -> dict[PlainSet, Plain
     tails is a sorted tuple of distinct plain sets, as assemble_injection
     passes the tail complements.  Augmenting-path search over the
     membership graph between tails and their (k-1)-shadow.  Each
-    member's neighbours are a bitmask over shadow indices, built from
+    member's neighbours are a bitmask over the shadow, built from
     per-element masks: holds[x] marks the shadow members containing x,
     and a shadow member lies inside a member exactly when it avoids
-    every element outside it.  The depth-first search runs on an
-    explicit stack and strikes each shadow vertex it takes from an
-    ``unseen`` mask, so no recursion limit applies however long a path
-    grows.  For families that arise from an intersecting input with
-    2k <= n, every subfamily inherits the pairwise intersection floor
-    n - 2k, the intersection-shadow inequality then gives Hall's
-    condition, and the matching always exists.  Failure therefore
-    signals a precondition violation and is surfaced as
-    NoPerfectMatching, never swallowed.
+    every element outside it.  The masks run over the shadow reversed,
+    so a row's first unseen neighbour in combinations() order is its
+    top bit, named by bit_length() alone.  The depth-first search runs
+    without recursion, so no recursion limit applies however long a
+    path grows.  It augments as it descends: taking a shadow member
+    hands it to the member above and moves down to its old owner, and
+    a dead end hands it back.  For families that arise from an
+    intersecting input with 2k <= n, every subfamily inherits the
+    pairwise intersection floor n - 2k, the intersection-shadow
+    inequality then gives Hall's condition, and the matching always
+    exists.  Failure therefore signals a precondition violation and is
+    surfaced as NoPerfectMatching, never swallowed.
     """
     if k < 1:
         raise NoPerfectMatching(f"k={k} leaves no (k-1)-subsets to match to")
     sh = shadow_to(tails, k - 1)
-    holds = _slot_masks(sh)
+    # shadow member sh[-v] owns bit v - 1, so bit[v] strikes it
+    holds = _slot_masks(reversed(sh))
+    bit = [0] + [1 << i for i in range(len(sh))]
     everything = (1 << len(sh)) - 1
     rows = []
     for m in tails:
@@ -142,44 +147,32 @@ def match_to_shadow(tails: tuple[PlainSet, ...], k: int) -> dict[PlainSet, Plain
             if x not in m:
                 outside |= mask
         rows.append(everything & ~outside)
-    match_left = [-1] * len(rows)
-    match_right = [-1] * len(sh)
+    owner = [-1] * len(bit)
     for u in range(len(rows)):
-        # Kuhn's search from u.  path[i] is the shadow vertex taken from
-        # stack[i]; row is the neighbour mask of the top of the stack.
-        # Members are sorted, so shadow indices follow combinations()
-        # order within a row and the lowest unseen bit of a row is its
-        # next neighbour in that order.  Certificates depend on that
+        # Kuhn's search from u.  path holds the shadow vertices taken,
+        # each already handed to the member above it; w is the member
+        # the walk stands on.  Certificates depend on the visiting
         # order: the search must pick the same matching as recursive
         # Kuhn (the reference in tests/test_matching.py).
         unseen = everything
-        stack = [u]
         path: list[int] = []
-        row = rows[u]
-        while True:
-            free = row & unseen
+        w = u
+        while w >= 0:
+            free = rows[w] & unseen
             if free:
-                bit = free & -free
-                unseen ^= bit
-                v = bit.bit_length() - 1
+                v = free.bit_length()
+                unseen ^= bit[v]
                 path.append(v)
-                w = match_right[v]
-                if w < 0:
-                    for x, y in zip(stack, path):
-                        match_left[x] = y
-                        match_right[y] = x
-                    break
-                stack.append(w)
-                row = rows[w]
+            elif path:
+                v = path.pop()
             else:
-                stack.pop()
-                if not stack:
-                    raise NoPerfectMatching(
-                        f"no injective shadow assignment covers {tails[u]}"
-                    )
-                path.pop()
-                row = rows[stack[-1]]
-    return {m: sh[v] for m, v in zip(tails, match_left)}
+                raise NoPerfectMatching(f"no injective shadow assignment covers {tails[u]}")
+            owner[v], w = w, owner[v]
+    target = [None] * len(tails)
+    for v, u in enumerate(owner):
+        if u >= 0:
+            target[u] = sh[-v]
+    return dict(zip(tails, target))
 
 
 def sign_assign(

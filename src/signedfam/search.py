@@ -38,7 +38,7 @@ from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import isqrt
 from operator import itemgetter
 
 from .core import (
@@ -49,6 +49,7 @@ from .core import (
     _check_count,
     _cover_rows,
     _shown,
+    _signed_count,
     universe,
 )
 from .errors import CapExceeded, TooLarge
@@ -172,12 +173,10 @@ def _intersection_graph(params: Params):
     with _graphs_lock:
         graph = _graphs.pop(params, None)
         if graph is None:
-            nv = params.r ** params.k * comb(params.n, params.k)
+            nv, shown = _signed_count(params.n, params.k, params.r, isqrt(MAX_GRAPH_BITS))
             bits = nv * nv
             if bits > MAX_GRAPH_BITS:
-                raise TooLarge(
-                    f"graph has {_shown(nv)}^2 adjacency bits, limit is {MAX_GRAPH_BITS}"
-                )
+                raise TooLarge(f"graph has {shown}^2 adjacency bits, limit is {MAX_GRAPH_BITS}")
             cached = sum(len(verts) ** 2 for verts, _ in _graphs.values())
             while cached + bits > MAX_GRAPH_BITS:
                 verts, _ = _graphs.popitem(last=False)[1]

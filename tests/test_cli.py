@@ -309,6 +309,16 @@ def test_size_too_long_to_print_exit_3(capsys, command):
     assert "sys." not in stderr
 
 
+def test_huge_search_refused_at_a_lower_bound(capsys):
+    # refused before r^k * C(n, k), 451,542 digits, is worked out
+    code, stdout, stderr = run(capsys, "search", "-n", "1000000", "-k", "500000", "-r", "2")
+    assert code == 3
+    assert stdout == ""
+    assert stderr == (
+        "error: graph has more than <14289-bit int>^2 adjacency bits, limit is 4294967296\n"
+    )
+
+
 @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
 def test_out_of_range_seed_exit_2(capsys, seed):
     code, stdout, stderr = run(

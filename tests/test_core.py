@@ -3,6 +3,7 @@
 import itertools
 import random
 import sys
+from math import comb
 
 import pytest
 from conftest import (
@@ -30,6 +31,7 @@ from signedfam import (
     support,
     universe,
 )
+from signedfam.core import _shown, _signed_count
 from signedfam.errors import (
     DuplicateElement,
     OutOfRange,
@@ -367,6 +369,39 @@ def test_refusals_shorten_long_ints():
     assert str(info.value) == (
         "universe has 219461209714179544...8160583062121349120 members, cap is 10000000"
     )
+
+
+@pytest.mark.parametrize(
+    "params, bits",
+    # counts of some 451,540 digits, whose binomials took seconds to work
+    # out, and of 477,122 digits, all in factors r past C(n, n) = 1
+    [((10**6, 5 * 10**5, 2), 14289), ((10**6, 10**6, 3), 22643)],
+)
+def test_refusals_stop_counting_past_what_str_prints(params, bits):
+    for build in (universe, star):
+        with pytest.raises(TooLarge) as info:
+            build(Params(*params))
+        assert str(info.value) == (
+            f"{build.__name__} has more than <{bits}-bit int> members, cap is 10000000"
+        )
+
+
+def test_signed_count_is_exact_or_a_strict_lower_bound(monkeypatch):
+    # a 4-digit threshold in place of 4,300 digits, so small counts stop early too
+    monkeypatch.setattr("signedfam.core._PRINTABLE", 10**3)
+    early = 0
+    for n in range(1, 30):
+        for k, r in itertools.product(range(n + 1), (1, 2, 3, 2**40)):
+            count = r**k * comb(n, k)
+            for limit in (0, 5, count - 1, count, 10**6):
+                got, shown = _signed_count(n, k, r, max(limit, 0))
+                if shown.startswith("more than "):
+                    early += 1
+                    assert limit < got < count and got >= 10**3
+                    assert shown == f"more than {_shown(got)}"
+                else:
+                    assert (got, shown) == (count, _shown(count))
+    assert early > 1000
 
 
 def test_universe_and_star_cap():

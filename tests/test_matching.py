@@ -1,5 +1,6 @@
 """match_to_shadow against a recursive Kuhn reference, and deep augmenting paths."""
 
+import hashlib
 import itertools
 import random
 
@@ -88,6 +89,18 @@ def test_matching_has_no_recursion_limit():
     assert len(set(assignment.values())) == len(tails) == 1365
     for src, dst in assignment.items():
         assert len(dst) == 4 and set(dst) <= set(src)
+    # the reference cannot reach this size, so a digest pins Kuhn's matching
+    digest = hashlib.sha256(repr(list(assignment.items())).encode()).hexdigest()
+    assert digest == "3854d9d6cd952dd599433068b9688d7e6a013aa8f13ffe0882de015e0bea4bc2"
+
+
+def test_matching_equals_reference_where_the_search_backtracks():
+    # the recursive reference meets 3 dead ends below the root here, each
+    # of which must hand its shadow member back, and still matches all four
+    tails = ((2, 3), (2, 4), (3, 4), (3, 5))
+    want = {(2, 3): (2,), (2, 4): (4,), (3, 4): (3,), (3, 5): (5,)}
+    assert recursive_kuhn(tails, 2) == want
+    assert list(match_to_shadow(tails, 2).items()) == list(want.items())
 
 
 def tails_in(ground, sets):
