@@ -35,6 +35,22 @@ def _format_set(sset) -> str:
     return "{" + ",".join(f"({x},{a})" for x, a in sset) + "}"
 
 
+def _decimal(value: int) -> str:
+    """A non-negative int in decimal, however many digits it has.
+
+    str() refuses more digits than sys.get_int_max_str_digits(), so a
+    longer value is written in chunks of that many.
+    """
+    width = sys.get_int_max_str_digits()
+    chunk = 10**width
+    parts = []
+    while width and value >= chunk:
+        value, low = divmod(value, chunk)
+        parts.append(f"{low:0{width}d}")
+    parts.append(str(value))
+    return "".join(reversed(parts))
+
+
 def _params(args) -> Params:
     return Params(args.n, args.k, args.r)
 
@@ -77,9 +93,9 @@ def _cmd_inject(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text + "\n")
-        size, bound = len(cert.domain), bound_value(cert.params)
-        if args.json:
-            print(compact_json({"size": size, "bound": bound, "ok": True}))
+        size, bound = len(cert.domain), _decimal(bound_value(cert.params))
+        if args.json:  # compact_json's bytes, with a bound of any length
+            print(f'{{"size":{size},"bound":{bound},"ok":true}}')
         else:
             print(f"mapped {size} sets into the star (bound {bound})")
     else:

@@ -19,9 +19,20 @@ or r, and make_signed_set a set's ranges, repeated elements and size.
 
 Writers emit compact UTF-8 with LF line endings, byte-stable for a fixed
 input: the bytes of compact_json.  certificate_to_json writes its map
-one row per entry from one text per distinct pair, which
+one row per entry, its sources' texts from the set-text tables below
+and its targets' from one text per distinct pair, which
 InjectionCertificate makes sound: its targets, like its sources, are
 tuples of exact-int pairs.
+
+Set texts are kept across calls, per (n, k, r), in two tables: each
+set's inner text, its compact text without the outer "[[" and "]]",
+and the set of each inner text.  Writers add set -> text only.  The
+compact reader adds both, only for sets it decoded and checked itself,
+and looks up the set texts it splits; a text kept under one (n, k, r)
+is never looked up under a smaller n or r or another k.  MAX_TEXT_PAIRS
+bounds both tables together: past it they start over, and a family too
+large for it bypasses them.  The tables never change a byte written or
+a line's verdict.
 """
 
 from __future__ import annotations
@@ -29,6 +40,8 @@ from __future__ import annotations
 import json
 import re
 import sys
+import threading
+from functools import partial
 from itertools import chain, pairwise, repeat
 from operator import itemgetter, lt
 from pathlib import Path
@@ -51,23 +64,133 @@ _COMPACT_PAIR = re.compile(rf"{_POSITIVE},{_POSITIVE}")
 #: What the surrogateescape error handler decodes a byte 0x80-0xff that is not UTF-8 to.
 _UNDECODED = re.compile("[\udc80-\udcff]")
 
+#: Ceiling on the set-text tables, under 10 MB: an entry for a signed k-set
+#: counts k, summed over both directions and all params.  Every set of
+#: (8,4,2), (9,3,3) and (9,4,2) together counts 38,696.  A family whose
+#: own entries would pass it, such as the 16,016 5-sets the benchmark injects
+#: at (16,5,2) (160,160), bypasses the tables rather than flush them.
+MAX_TEXT_PAIRS = 2**16
+
+#: Per params, the inner text of each set written or read.
+_set_texts: dict[Params, dict] = {}
+#: Per params, the set of each inner text the compact reader decoded and checked.
+_text_sets: dict[Params, dict] = {}
+#: What both tables hold, as MAX_TEXT_PAIRS counts it; _tables_lock guards it.
+_held = 0
+_tables_lock = threading.Lock()
+
+
+class _PairTexts(dict):
+    """compact_json text of each pair, encoded on its first lookup."""
+
+    def __missing__(self, pair):
+        text = self[pair] = compact_json(pair)
+        return text
+
+
+def _remember(params: Params, sets, texts, read: bool) -> None:
+    """Keep each set's text under params, and each text's set if the reader decoded them.
+
+    The tables start over first when the new entries could pass
+    MAX_TEXT_PAIRS.
+    """
+    global _held
+    k = params.k
+    with _tables_lock:
+        if _held + 2 * len(sets) * k > MAX_TEXT_PAIRS:
+            _set_texts.clear()
+            _text_sets.clear()
+            _held = 0
+        updates = [(_set_texts, zip(sets, texts))]
+        if read:
+            updates.append((_text_sets, zip(texts, sets)))
+        for tables, entries in updates:
+            table = tables.setdefault(params, {})
+            size = len(table)
+            table.update(entries)
+            _held += (len(table) - size) * k
+
+
+def _kept(params: Params, keys, make, read: bool) -> list | None:
+    """The text of each set to write, or the set of each text read, under params.
+
+    Kept values are looked up, unless the table is empty; make maps the
+    misses to their values in one call, or to None, which is returned.
+    Keys too many for the tables bypass them.  Values are never empty,
+    so a miss is the one falsy lookup.
+    """
+    cached = 2 * len(keys) * params.k <= MAX_TEXT_PAIRS
+    table = (_text_sets if read else _set_texts).get(params) if cached else None
+    if table:
+        found = list(map(table.get, keys))
+        if None not in found:
+            return found
+        misses = [key for key, value in zip(keys, found) if value is None]
+    else:
+        found, misses = None, keys
+    fresh = make(misses)
+    if fresh is None:
+        return None
+    if cached:
+        sets, texts = (fresh, misses) if read else (misses, fresh)
+        _remember(params, sets, texts, read)
+    if found is None:
+        return fresh
+    fresh = iter(fresh)
+    return [value or next(fresh) for value in found]
+
+
+def _encode_sets(members) -> list[str]:
+    """Inner texts of signed sets, from one text per distinct pair."""
+    texts = _PairTexts().__getitem__
+    join = ",".join
+    return [join(map(texts, s))[1:-1] for s in members]
+
 
 def signed_family_to_json(fam: SignedFamily) -> str:
-    obj = {
-        "n": fam.params.n,
-        "k": fam.params.k,
-        "r": fam.params.r,
-        "sets": fam.members,
-    }
-    return compact_json(obj)
+    n, k, r = fam.params.n, fam.params.k, fam.params.r
+    texts = _kept(fam.params, fam.members, _encode_sets, read=False)
+    sets = f"[[{']],[['.join(texts)}]]" if texts else ""
+    return f'{{"n":{n},"k":{k},"r":{r},"sets":[{sets}]}}'
+
+
+def _decode_sets(params: Params, texts: list[str]) -> list | None:
+    """The signed sets of one or more inner texts, or None if any is not a
+    canonical k-set under params.
+
+    Each distinct pair text is decoded once, so the work beyond C-level
+    splits and maps grows with the distinct pairs, never with n * r.
+    """
+    sets = list(map(str.split, texts, repeat("],[")))
+    k = params.k
+    if set(map(len, sets)) != {k}:
+        return None
+    pair_texts = list(_flat(sets))
+    table = {}
+    for text in set(pair_texts):
+        m = _COMPACT_PAIR.fullmatch(text)
+        if m is None:
+            return None
+        x, a = int(m[1]), int(m[2])
+        if x > params.n or a > params.r:
+            return None
+        table[text] = (x, a)
+    pairs = list(map(table.__getitem__, pair_texts))
+    elements = list(map(itemgetter(0), pairs))
+    for j in range(k - 1):
+        if not all(map(lt, elements[j::k], elements[j + 1 :: k])):
+            return None
+    return list(zip(*[iter(pairs)] * k))
 
 
 def _parse_compact(line: str) -> SignedFamily | None:
     """The family of a valid line in signed_family_to_json's bytes, sets in any order.
 
-    None, or a ValueError from int() or Params, for any other line.  Each
-    distinct pair text is decoded once, so the work beyond C-level splits
-    and maps grows with the distinct pairs, never with n * r.
+    None, or a ValueError from int() or Params, for any other line.  A
+    set text kept in _text_sets under the line's params gives the set
+    the reader decoded from it before; only the others are decoded and
+    checked, then kept.  The order and duplicate checks run on every
+    line's sets, kept or not.
     """
     head = _COMPACT_HEAD.match(line)
     if head is None or not line.endswith("]}"):
@@ -78,26 +201,10 @@ def _parse_compact(line: str) -> SignedFamily | None:
         return _canonical_family(params, ())
     if not (body.startswith("[[") and body.endswith("]]")):
         return None
-    sets = list(map(str.split, body[2:-2].split("]],[["), repeat("],[")))
-    k = params.k
-    if set(map(len, sets)) != {k}:
+    texts = body[2:-2].split("]],[[")
+    members = _kept(params, texts, partial(_decode_sets, params), read=True)
+    if members is None:
         return None
-    texts = list(_flat(sets))
-    table = {}
-    for text in set(texts):
-        m = _COMPACT_PAIR.fullmatch(text)
-        if m is None:
-            return None
-        x, a = int(m[1]), int(m[2])
-        if x > params.n or a > params.r:
-            return None
-        table[text] = (x, a)
-    pairs = list(map(table.__getitem__, texts))
-    elements = list(map(itemgetter(0), pairs))
-    for j in range(k - 1):
-        if not all(map(lt, elements[j::k], elements[j + 1 :: k])):
-            return None
-    members = list(zip(*[iter(pairs)] * k))
     # strictly increasing members are sorted and distinct; a line from
     # signed_family_to_json is in order, but the benchmark's inject_big
     # line and CI's big.jsonl are not, so both take the sort on every run
@@ -190,26 +297,21 @@ def write_signed_families(path, families) -> None:
     Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
-class _PairTexts(dict):
-    """compact_json text of each pair, encoded on its first lookup."""
-
-    def __missing__(self, pair):
-        text = self[pair] = compact_json(pair)
-        return text
-
-
 def certificate_to_json(cert: InjectionCertificate) -> str:
     """Serialize a certificate; byte-identical for equal certificates.
 
-    One row per entry from one text per distinct pair: sources and
-    targets alike are tuples of exact-int pairs, of any length.
+    One row per entry.  Sources, signed k-sets of the domain, take their
+    inner texts from the set-text tables.  Targets, tuples of exact-int
+    pairs of any length, take one text per distinct pair: an empty
+    target has no inner text to keep.
     """
     params, blocks = cert.params, cert.block_sizes
+    sources = _kept(params, cert.domain.members, _encode_sets, read=False)
     texts = _PairTexts().__getitem__
     join = ",".join
     rows = [
-        f'{{"from":[{join(map(texts, s))}],"to":[{join(map(texts, t))}]}}'
-        for s, t in zip(cert.domain.members, cert.targets)
+        f'{{"from":[[{s}]],"to":[{join(map(texts, t))}]}}'
+        for s, t in zip(sources, cert.targets)
     ]
     head = compact_json({"n": params.n, "k": params.k, "r": params.r})
     tail = compact_json({"a0": blocks[0], "a": blocks[1:]})

@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, output shapes, round-trips, determinism."""
 
 import json
+import sys
 
 import pytest
 
@@ -10,7 +11,8 @@ from signedfam import (
     assemble_injection,
     star,
 )
-from signedfam.cli import main
+from signedfam.cli import _decimal, main
+from signedfam.core import bound_value
 from signedfam.errors import VerificationFailed
 from signedfam.jsonl import read_signed_families, signed_family_to_json
 
@@ -307,6 +309,47 @@ def test_size_too_long_to_print_exit_3(capsys, command):
     assert stdout == ""
     assert stderr.startswith("error: ")
     assert "sys." not in stderr
+
+
+@pytest.mark.parametrize(
+    "flags, line",
+    [
+        ([], "mapped 1 sets into the star (bound {})\n"),
+        (["--json"], '{{"size":1,"bound":{},"ok":true}}\n'),
+    ],
+    ids=["text", "json"],
+)
+def test_inject_prints_a_bound_past_the_digit_limit(capsys, tmp_path, flags, line):
+    # one 10,000-pair set at n = 20,000: the bound has 9,029 digits, past str()'s limit of 4,300
+    fam_path = tmp_path / "fam.jsonl"
+    sets = [[[x, 1] for x in range(1, 10_001)]]
+    fam_path.write_text(json.dumps({"n": 20_000, "k": 10_000, "r": 2, "sets": sets}) + "\n")
+    out = tmp_path / "cert.json"
+    code, stdout, stderr = run(capsys, "inject", str(fam_path), "-o", str(out), *flags)
+    assert (code, stderr) == (0, "")
+    assert out.stat().st_size == 177_881
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        bound = str(bound_value(Params(20_000, 10_000, 2)))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(bound) == 9029
+    assert stdout == line.format(bound)
+
+
+@pytest.mark.parametrize("limit", [640, 4300, 0])
+def test_decimal_writes_every_digit(limit):
+    # chunk edges: a zero chunk, a chunk of nines, a value of exactly one chunk
+    values = [0, 9, 10**640, 10**4300 - 1, 10**4300, 7 * 10**8600 + 1, 3**20_000]
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        got = [_decimal(v) for v in values]
+        sys.set_int_max_str_digits(0)
+        assert got == [str(v) for v in values]
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_huge_search_refused_at_a_lower_bound(capsys):

@@ -3,6 +3,7 @@
 import itertools
 import json
 import sys
+import threading
 from collections import namedtuple
 
 import pytest
@@ -16,10 +17,12 @@ from signedfam import (
     star,
     universe,
 )
+from signedfam import jsonl
 from signedfam.errors import FormatError
 from signedfam.injection import InjectionCertificate
 from signedfam.jsonl import (
     certificate_to_json,
+    compact_json,
     parse_signed_families,
     parse_signed_family,
     read_signed_families,
@@ -392,3 +395,142 @@ def test_certificate_bytes_for_odd_targets(replace, refused):
         return
     odd = InjectionCertificate(cert.domain, cert.targets[:i] + (target,) + cert.targets[i + 1 :])
     assert certificate_to_json(odd) == reference_certificate_to_json(odd)
+
+
+# The set-text tables kept across calls: they may change no byte written
+# and no line accepted or refused, whatever they hold.
+
+
+@pytest.fixture
+def text_tables(monkeypatch):
+    """Empty set-text tables for one test; the module's own come back after it."""
+    monkeypatch.setattr(jsonl, "_set_texts", {})
+    monkeypatch.setattr(jsonl, "_text_sets", {})
+    monkeypatch.setattr(jsonl, "_held", 0)
+
+
+def clear_text_tables():
+    jsonl._set_texts.clear()
+    jsonl._text_sets.clear()
+    jsonl._held = 0
+
+
+def held_pairs():
+    """What both tables hold, counted as MAX_TEXT_PAIRS counts it."""
+    tables = (jsonl._set_texts, jsonl._text_sets)
+    return sum(len(table) * p.k for kept in tables for p, table in kept.items())
+
+
+def assert_round_trip_matches_reference(fam, cert):
+    line = signed_family_to_json(fam)
+    assert line == reference_signed_family_to_json(fam)
+    assert parse_signed_family(line) == reference_parse_signed_family(line) == fam
+    assert certificate_to_json(cert) == reference_certificate_to_json(cert)
+
+
+def test_text_tables_keep_reference_bytes_cold_and_warm(text_tables):
+    cases = [(fam, assemble_injection(fam)) for fam in seeded_families()]
+    for fam, cert in cases:
+        clear_text_tables()
+        assert_round_trip_matches_reference(fam, cert)
+    for fam, cert in cases:
+        assert_round_trip_matches_reference(fam, cert)
+    # the second pass found every set it wrote or read
+    for p in SEEDED_PARAMS:
+        written = {m for fam, _ in cases if fam.params == p for m in fam}
+        assert jsonl._set_texts[p].keys() == written
+    assert held_pairs() == jsonl._held
+
+
+WARM_REUSE_REJECTS = [
+    # texts of (9,3,3) sets, refused under a smaller n, a smaller r or another k
+    '{"n":8,"k":3,"r":3,"sets":[[[1,1],[2,1],[9,1]]]}',
+    '{"n":9,"k":3,"r":2,"sets":[[[1,1],[2,3],[3,1]]]}',
+    '{"n":9,"k":2,"r":3,"sets":[[[1,1],[2,1],[3,1]]]}',
+    '{"n":9,"k":4,"r":3,"sets":[[[1,1],[2,1],[3,1]]]}',
+    '{"n":9,"k":3,"r":3,"sets":[[[1,1],[2,1],[3,1]],[[1,1],[2,1],[3,1]]]}',
+]
+
+
+@pytest.mark.parametrize("line", EXTRA_REJECTS + WARM_REUSE_REJECTS)
+def test_warm_text_tables_refuse_as_cold(text_tables, line):
+    for p in (Params(4, 2, 2), Params(5, 3, 3), Params(9, 3, 3)):
+        fam = universe(p)
+        assert parse_signed_family(signed_family_to_json(fam)) == fam
+    assert jsonl._text_sets[Params(9, 3, 3)]["1,1],[2,1],[3,1"] == ((1, 1), (2, 1), (3, 1))
+    with pytest.raises(FormatError) as want:
+        reference_parse_signed_family(line, lineno=4)
+    with pytest.raises(FormatError) as got:
+        parse_signed_family(line, lineno=4)
+    assert str(got.value) == str(want.value)
+    assert got.value.line == want.value.line == 4
+
+
+def test_writers_keep_no_text_to_set_entries(text_tables):
+    fam = random_maximal_intersecting(Params(9, 4, 2), 3)
+    signed_family_to_json(fam)
+    certificate_to_json(assemble_injection(fam))
+    assert not jsonl._text_sets
+    assert jsonl._set_texts[fam.params].keys() == set(fam.members)
+    # the reader keeps both directions, for the sets it decoded itself
+    parse_signed_family(signed_family_to_json(fam))
+    assert jsonl._text_sets[fam.params] == {
+        text[2:-2]: m for m in fam for text in [compact_json(m)]
+    }
+
+
+@pytest.mark.parametrize("bound", [0, 600, 2000, 20000])
+def test_text_tables_stay_within_their_bound(text_tables, monkeypatch, bound):
+    monkeypatch.setattr(jsonl, "MAX_TEXT_PAIRS", bound)
+    tables = (jsonl._set_texts, jsonl._text_sets)
+
+    def snapshot():
+        return [{p: dict(table) for p, table in kept.items()} for kept in tables]
+
+    for fam in seeded_families():
+        before = snapshot()
+        assert_round_trip_matches_reference(fam, assemble_injection(fam))
+        assert held_pairs() == jsonl._held <= bound
+        if 2 * len(fam) * fam.params.k > bound:  # too many sets: the tables are bypassed
+            assert snapshot() == before
+
+
+def test_text_tables_are_safe_across_threads(text_tables, monkeypatch):
+    # the two params' sets pass the bound together, so lookups race start-overs
+    monkeypatch.setattr(jsonl, "MAX_TEXT_PAIRS", 300)
+    families = [
+        random_maximal_intersecting(p, seed)
+        for p in (Params(6, 3, 2), Params(6, 2, 3))
+        for seed in range(3)
+    ]
+    certs = [assemble_injection(fam) for fam in families]
+    want = [
+        (reference_signed_family_to_json(fam), reference_certificate_to_json(cert))
+        for fam, cert in zip(families, certs)
+    ]
+    orders = [list(range(t, len(certs))) + list(range(t)) for t in range(4)]
+    failures = []
+
+    def run(t):
+        try:
+            for i in orders[t]:
+                line = signed_family_to_json(families[i])
+                got = (line, certificate_to_json(certs[i]))
+                if got != want[i] or parse_signed_family(line) != families[i]:
+                    failures.append(f"thread {t} round-tripped family {i} to other bytes")
+        except Exception as exc:
+            failures.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(100):
+            threads = [threading.Thread(target=run, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert failures == []
+    assert held_pairs() == jsonl._held <= 300
