@@ -9,13 +9,15 @@ verify-bound and random-family are bounded by the graph size limit alone.
 Exit codes: 0 success, 2 invalid parameters or parse errors, 3 over
 --cap or intersection graph too large, 4 input family not
 intersecting, 5 parameters outside the constructed range (r < 2 or
-2k > n), 1 anything else: a certificate that fails verification, or an
-internal fault (recursion or memory exhausted) reported on one line.
+2k > n), 1 anything else: a certificate that fails verification, an
+internal fault (recursion or memory exhausted) reported on one line, or
+a stdout closed before all was written, with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from .core import DEFAULT_CAP, Params, bound_value, star, universe
@@ -225,7 +227,15 @@ _EXIT_CODES = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        print(end="", flush=True)  # a closed stdout is found here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # stdout's reader is gone: close it, dropping what it holds, so that
+        # nothing is written there again; the file descriptor stays open
+        with contextlib.suppress(BrokenPipeError):
+            sys.stdout.close()
+        return 1
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))

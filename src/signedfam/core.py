@@ -277,6 +277,19 @@ def _check_count(name: str, value: int) -> None:
         raise ValueError(f"{name} must be >= 0, got {_shown(value)}")
 
 
+def _signed_sets(ground: range, j: int, r: int) -> list[SignedSet]:
+    """Every signed j-set over ground with signs in [r], sorted."""
+    signs = range(1, r + 1)
+    members = [
+        tuple(zip(elems, vec))
+        for elems in itertools.combinations(ground, j)
+        for vec in itertools.product(signs, repeat=j)
+    ]
+    # canonical and distinct by construction, but not generated in order
+    members.sort()
+    return members
+
+
 def universe(params: Params, cap: int = DEFAULT_CAP) -> SignedFamily:
     """All signed k-sets on [n] with signs in [r].
 
@@ -287,14 +300,7 @@ def universe(params: Params, cap: int = DEFAULT_CAP) -> SignedFamily:
     total, shown = _signed_count(params.n, params.k, params.r, cap)
     if total > cap:
         raise TooLarge(f"universe has {shown} members, cap is {_shown(cap)}")
-    signs = range(1, params.r + 1)
-    members = [
-        tuple(zip(elems, vec))
-        for elems in itertools.combinations(range(1, params.n + 1), params.k)
-        for vec in itertools.product(signs, repeat=params.k)
-    ]
-    # canonical and distinct by construction, but not generated in order
-    members.sort()
+    members = _signed_sets(range(1, params.n + 1), params.k, params.r)
     return _canonical_family(params, tuple(members))
 
 
@@ -310,12 +316,6 @@ def star(params: Params, cap: int = DEFAULT_CAP) -> SignedFamily:
     total, shown = _signed_count(params.n - 1, params.k - 1, params.r, cap)
     if total > cap:
         raise TooLarge(f"star has {shown} members, cap is {_shown(cap)}")
-    signs = range(1, params.r + 1)
-    members = [
-        ((1, 1),) + tuple(zip(elems, vec))
-        for elems in itertools.combinations(range(2, params.n + 1), params.k - 1)
-        for vec in itertools.product(signs, repeat=params.k - 1)
-    ]
-    # canonical and distinct by construction, but not generated in order
-    members.sort()
-    return _canonical_family(params, tuple(members))
+    rests = _signed_sets(range(2, params.n + 1), params.k - 1, params.r)
+    # (1, 1) leads every member, so the sorted rests keep the members sorted
+    return _canonical_family(params, tuple(((1, 1),) + rest for rest in rests))

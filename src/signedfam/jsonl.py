@@ -19,20 +19,21 @@ or r, and make_signed_set a set's ranges, repeated elements and size.
 
 Writers emit compact UTF-8 with LF line endings, byte-stable for a fixed
 input: the bytes of compact_json.  certificate_to_json writes its map
-one row per entry, its sources' texts from the set-text tables below
-and its targets' from one text per distinct pair, which
-InjectionCertificate makes sound: its targets, like its sources, are
-tuples of exact-int pairs.
+one row per entry, and both sides of a row the way signed_family_to_json
+writes a set, which InjectionCertificate makes sound: its targets, like
+its sources, are tuples of exact-int pairs.
 
-Set texts are kept across calls, per (n, k, r), in two tables: each
-set's inner text, its compact text without the outer "[[" and "]]",
-and the set of each inner text.  Writers add set -> text only.  The
-compact reader adds both, only for sets it decoded and checked itself,
-and looks up the set texts it splits; a text kept under one (n, k, r)
-is never looked up under a smaller n or r or another k.  MAX_TEXT_PAIRS
-bounds both tables together: past it they start over, and a family too
-large for it bypasses them.  The tables never change a byte written or
-a line's verdict.
+Set texts are kept across calls, per (n, k, r), in one table.  A tuple
+key maps a set written, a family member or a certificate target, to its
+full compact text, [] for an empty target; writers add these entries
+only.  A str key maps an inner text the compact reader split, the set's
+text without the outer "[[" and "]]", to the set the reader itself
+decoded and checked; a str never equals a tuple, so no text a writer
+kept answers a read, and a text kept under one (n, k, r) is never looked
+up under a smaller n or r or another k.  MAX_TEXT_PAIRS bounds the table
+over all params: past it the table starts over, and a call too large for
+it bypasses it.  The table never changes a byte written or a line's
+verdict.
 """
 
 from __future__ import annotations
@@ -64,19 +65,15 @@ _COMPACT_PAIR = re.compile(rf"{_POSITIVE},{_POSITIVE}")
 #: What the surrogateescape error handler decodes a byte 0x80-0xff that is not UTF-8 to.
 _UNDECODED = re.compile("[\udc80-\udcff]")
 
-#: Ceiling on the set-text tables, under 10 MB: an entry for a signed k-set
-#: counts k, summed over both directions and all params.  Every set of
-#: (8,4,2), (9,3,3) and (9,4,2) together counts 38,696.  A family whose
-#: own entries would pass it, such as the 16,016 5-sets the benchmark injects
-#: at (16,5,2) (160,160), bypasses the tables rather than flush them.
+#: Ceiling on the set-text table, under 10 MB: an entry for a signed k-set
+#: counts k, summed over all params.  Every set of (8,4,2), (9,3,3) and
+#: (9,4,2), written and read, counts 38,696.  A call whose own entries would
+#: pass it, such as one over the 16,016 5-sets the benchmark injects at
+#: (16,5,2) (80,080), bypasses the table rather than flush it.
 MAX_TEXT_PAIRS = 2**16
 
-#: Per params, the inner text of each set written or read.
-_set_texts: dict[Params, dict] = {}
-#: Per params, the set of each inner text the compact reader decoded and checked.
-_text_sets: dict[Params, dict] = {}
-#: What both tables hold, as MAX_TEXT_PAIRS counts it; _tables_lock guards it.
-_held = 0
+#: Per params, the text of each set written and the set of each inner text read.
+_texts: dict[Params, dict] = {}
 _tables_lock = threading.Lock()
 
 
@@ -88,39 +85,19 @@ class _PairTexts(dict):
         return text
 
 
-def _remember(params: Params, sets, texts, read: bool) -> None:
-    """Keep each set's text under params, and each text's set if the reader decoded them.
+def _kept(params: Params, keys, make) -> list | None:
+    """The value of each key under params: a set's text, or an inner text's set.
 
-    The tables start over first when the new entries could pass
-    MAX_TEXT_PAIRS.
+    Kept values are looked up; make maps the misses to their values in
+    one call, or to None, which is returned.  The misses are kept, after
+    the table starts over if they could pass MAX_TEXT_PAIRS.  Keys too
+    many for the table bypass it.  Values are never empty, so a miss is
+    the one falsy lookup.
     """
-    global _held
     k = params.k
-    with _tables_lock:
-        if _held + 2 * len(sets) * k > MAX_TEXT_PAIRS:
-            _set_texts.clear()
-            _text_sets.clear()
-            _held = 0
-        updates = [(_set_texts, zip(sets, texts))]
-        if read:
-            updates.append((_text_sets, zip(texts, sets)))
-        for tables, entries in updates:
-            table = tables.setdefault(params, {})
-            size = len(table)
-            table.update(entries)
-            _held += (len(table) - size) * k
-
-
-def _kept(params: Params, keys, make, read: bool) -> list | None:
-    """The text of each set to write, or the set of each text read, under params.
-
-    Kept values are looked up, unless the table is empty; make maps the
-    misses to their values in one call, or to None, which is returned.
-    Keys too many for the tables bypass them.  Values are never empty,
-    so a miss is the one falsy lookup.
-    """
-    cached = 2 * len(keys) * params.k <= MAX_TEXT_PAIRS
-    table = (_text_sets if read else _set_texts).get(params) if cached else None
+    if len(keys) * k > MAX_TEXT_PAIRS:
+        return make(keys)
+    table = _texts.get(params)
     if table:
         found = list(map(table.get, keys))
         if None not in found:
@@ -131,9 +108,11 @@ def _kept(params: Params, keys, make, read: bool) -> list | None:
     fresh = make(misses)
     if fresh is None:
         return None
-    if cached:
-        sets, texts = (fresh, misses) if read else (misses, fresh)
-        _remember(params, sets, texts, read)
+    with _tables_lock:
+        held = sum(len(kept) * p.k for p, kept in _texts.items())
+        if held + len(misses) * k > MAX_TEXT_PAIRS:
+            _texts.clear()
+        _texts.setdefault(params, {}).update(zip(misses, fresh))
     if found is None:
         return fresh
     fresh = iter(fresh)
@@ -141,16 +120,15 @@ def _kept(params: Params, keys, make, read: bool) -> list | None:
 
 
 def _encode_sets(members) -> list[str]:
-    """Inner texts of signed sets, from one text per distinct pair."""
+    """Compact texts of signed sets, from one text per distinct pair."""
     texts = _PairTexts().__getitem__
     join = ",".join
-    return [join(map(texts, s))[1:-1] for s in members]
+    return [f"[{join(map(texts, s))}]" for s in members]
 
 
 def signed_family_to_json(fam: SignedFamily) -> str:
     n, k, r = fam.params.n, fam.params.k, fam.params.r
-    texts = _kept(fam.params, fam.members, _encode_sets, read=False)
-    sets = f"[[{']],[['.join(texts)}]]" if texts else ""
+    sets = ",".join(_kept(fam.params, fam.members, _encode_sets))
     return f'{{"n":{n},"k":{k},"r":{r},"sets":[{sets}]}}'
 
 
@@ -186,11 +164,11 @@ def _decode_sets(params: Params, texts: list[str]) -> list | None:
 def _parse_compact(line: str) -> SignedFamily | None:
     """The family of a valid line in signed_family_to_json's bytes, sets in any order.
 
-    None, or a ValueError from int() or Params, for any other line.  A
-    set text kept in _text_sets under the line's params gives the set
-    the reader decoded from it before; only the others are decoded and
-    checked, then kept.  The order and duplicate checks run on every
-    line's sets, kept or not.
+    None, or a ValueError from int() or Params, for any other line.  An
+    inner text kept under the line's params gives the set the reader
+    decoded from it before; only the others are decoded and checked,
+    then kept.  The order and duplicate checks run on every line's sets,
+    kept or not.
     """
     head = _COMPACT_HEAD.match(line)
     if head is None or not line.endswith("]}"):
@@ -202,7 +180,7 @@ def _parse_compact(line: str) -> SignedFamily | None:
     if not (body.startswith("[[") and body.endswith("]]")):
         return None
     texts = body[2:-2].split("]],[[")
-    members = _kept(params, texts, partial(_decode_sets, params), read=True)
+    members = _kept(params, texts, partial(_decode_sets, params))
     if members is None:
         return None
     # strictly increasing members are sorted and distinct; a line from
@@ -300,19 +278,14 @@ def write_signed_families(path, families) -> None:
 def certificate_to_json(cert: InjectionCertificate) -> str:
     """Serialize a certificate; byte-identical for equal certificates.
 
-    One row per entry.  Sources, signed k-sets of the domain, take their
-    inner texts from the set-text tables.  Targets, tuples of exact-int
-    pairs of any length, take one text per distinct pair: an empty
-    target has no inner text to keep.
+    One row per entry.  Sources and targets both take their texts from
+    the set-text table; a target, a tuple of exact-int pairs of any
+    length, is written as a set is, and an empty one as [].
     """
     params, blocks = cert.params, cert.block_sizes
-    sources = _kept(params, cert.domain.members, _encode_sets, read=False)
-    texts = _PairTexts().__getitem__
-    join = ",".join
-    rows = [
-        f'{{"from":[[{s}]],"to":[{join(map(texts, t))}]}}'
-        for s, t in zip(sources, cert.targets)
-    ]
+    sources = _kept(params, cert.domain.members, _encode_sets)
+    targets = _kept(params, cert.targets, _encode_sets)
+    rows = [f'{{"from":{s},"to":{t}}}' for s, t in zip(sources, targets)]
     head = compact_json({"n": params.n, "k": params.k, "r": params.r})
     tail = compact_json({"a0": blocks[0], "a": blocks[1:]})
-    return f'{{"params":{head},"map":[{join(rows)}],"blocks":{tail}}}'
+    return f'{{"params":{head},"map":[{",".join(rows)}],"blocks":{tail}}}'

@@ -1,10 +1,14 @@
 """CLI behavior: exit codes, output shapes, round-trips, determinism."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import signedfam
 from signedfam import (
     CertificateReport,
     Params,
@@ -239,6 +243,32 @@ def test_internal_fault_exit_1(capsys, monkeypatch, fault, line):
     assert code == 1
     assert stdout == ""
     assert stderr == line + "\n"
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["universe", "-n", "10", "-k", "5", "-r", "2"],
+        ["universe", "-n", "10", "-k", "5", "-r", "2", "--json"],
+        ["search", "-n", "9", "-k", "4", "-r", "2", "--json"],
+        ["star", "-n", "4", "-k", "2", "-r", "2"],
+    ],
+    ids=["universe", "universe-json", "search-json", "small-star"],
+)
+def test_closed_stdout_exit_1_saying_nothing(argv, buffered):
+    # the reader closes the pipe first; a small output fails only at its flush
+    src = str(Path(signedfam.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED="" if buffered else "1")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "signedfam.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert stderr == b""
 
 
 def plant_failing_report(monkeypatch, problem):

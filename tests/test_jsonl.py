@@ -397,28 +397,28 @@ def test_certificate_bytes_for_odd_targets(replace, refused):
     assert certificate_to_json(odd) == reference_certificate_to_json(odd)
 
 
-# The set-text tables kept across calls: they may change no byte written
-# and no line accepted or refused, whatever they hold.
+# The set-text table kept across calls: it may change no byte written
+# and no line accepted or refused, whatever it holds.
 
 
 @pytest.fixture
 def text_tables(monkeypatch):
-    """Empty set-text tables for one test; the module's own come back after it."""
-    monkeypatch.setattr(jsonl, "_set_texts", {})
-    monkeypatch.setattr(jsonl, "_text_sets", {})
-    monkeypatch.setattr(jsonl, "_held", 0)
+    """An empty set-text table for one test; the module's own comes back after it."""
+    monkeypatch.setattr(jsonl, "_texts", {})
 
 
 def clear_text_tables():
-    jsonl._set_texts.clear()
-    jsonl._text_sets.clear()
-    jsonl._held = 0
+    jsonl._texts.clear()
 
 
 def held_pairs():
-    """What both tables hold, counted as MAX_TEXT_PAIRS counts it."""
-    tables = (jsonl._set_texts, jsonl._text_sets)
-    return sum(len(table) * p.k for kept in tables for p, table in kept.items())
+    """What the table holds, counted as MAX_TEXT_PAIRS counts it."""
+    return sum(len(table) * p.k for p, table in jsonl._texts.items())
+
+
+def kept(p, kind):
+    """The entries kept under p whose keys are of kind: tuple (a set written) or str (a text read)."""
+    return {key: value for key, value in jsonl._texts[p].items() if type(key) is kind}
 
 
 def assert_round_trip_matches_reference(fam, cert):
@@ -435,11 +435,14 @@ def test_text_tables_keep_reference_bytes_cold_and_warm(text_tables):
         assert_round_trip_matches_reference(fam, cert)
     for fam, cert in cases:
         assert_round_trip_matches_reference(fam, cert)
-    # the second pass found every set it wrote or read
+    # the second pass found every set it wrote and every text it read, and kept nothing else
     for p in SEEDED_PARAMS:
-        written = {m for fam, _ in cases if fam.params == p for m in fam}
-        assert jsonl._set_texts[p].keys() == written
-    assert held_pairs() == jsonl._held
+        written = {s for fam, cert in cases if fam.params == p for s in (*fam, *cert.targets)}
+        read = {compact_json(m)[2:-2] for fam, _ in cases if fam.params == p for m in fam}
+        assert kept(p, tuple).keys() == written
+        assert kept(p, str).keys() == read
+    assert jsonl._texts.keys() == set(SEEDED_PARAMS)
+    assert held_pairs() <= jsonl.MAX_TEXT_PAIRS
 
 
 WARM_REUSE_REJECTS = [
@@ -452,12 +455,7 @@ WARM_REUSE_REJECTS = [
 ]
 
 
-@pytest.mark.parametrize("line", EXTRA_REJECTS + WARM_REUSE_REJECTS)
-def test_warm_text_tables_refuse_as_cold(text_tables, line):
-    for p in (Params(4, 2, 2), Params(5, 3, 3), Params(9, 3, 3)):
-        fam = universe(p)
-        assert parse_signed_family(signed_family_to_json(fam)) == fam
-    assert jsonl._text_sets[Params(9, 3, 3)]["1,1],[2,1],[3,1"] == ((1, 1), (2, 1), (3, 1))
+def assert_refused_as_cold(line):
     with pytest.raises(FormatError) as want:
         reference_parse_signed_family(line, lineno=4)
     with pytest.raises(FormatError) as got:
@@ -466,34 +464,62 @@ def test_warm_text_tables_refuse_as_cold(text_tables, line):
     assert got.value.line == want.value.line == 4
 
 
+@pytest.mark.parametrize("line", EXTRA_REJECTS + WARM_REUSE_REJECTS)
+def test_warm_text_tables_refuse_as_cold(text_tables, line):
+    for p in (Params(4, 2, 2), Params(5, 3, 3), Params(9, 3, 3)):
+        fam = universe(p)
+        assert parse_signed_family(signed_family_to_json(fam)) == fam
+    assert jsonl._texts[Params(9, 3, 3)]["1,1],[2,1],[3,1"] == ((1, 1), (2, 1), (3, 1))
+    assert_refused_as_cold(line)
+
+
 def test_writers_keep_no_text_to_set_entries(text_tables):
     fam = random_maximal_intersecting(Params(9, 4, 2), 3)
+    cert = assemble_injection(fam)
     signed_family_to_json(fam)
-    certificate_to_json(assemble_injection(fam))
-    assert not jsonl._text_sets
-    assert jsonl._set_texts[fam.params].keys() == set(fam.members)
-    # the reader keeps both directions, for the sets it decoded itself
+    certificate_to_json(cert)
+    written = {s: compact_json(s) for s in (*fam, *cert.targets)}
+    assert jsonl._texts == {fam.params: written}
+    # the reader keeps text -> set only, for the sets it decoded itself
     parse_signed_family(signed_family_to_json(fam))
-    assert jsonl._text_sets[fam.params] == {
-        text[2:-2]: m for m in fam for text in [compact_json(m)]
-    }
+    assert kept(fam.params, tuple) == written
+    assert kept(fam.params, str) == {compact_json(m)[2:-2]: m for m in fam}
+
+
+def test_warm_certificate_encodes_no_pair(text_tables, monkeypatch):
+    cert = assemble_injection(random_maximal_intersecting(Params(9, 4, 2), 3))
+    cold = certificate_to_json(cert)
+
+    def refuse(self, pair):
+        raise AssertionError(f"pair {pair} encoded on a warm call")
+
+    monkeypatch.setattr(jsonl._PairTexts, "__missing__", refuse)
+    assert certificate_to_json(cert) == cold == reference_certificate_to_json(cert)
+
+
+def test_written_odd_target_is_refused_as_cold(text_tables):
+    cert = assemble_injection(random_maximal_intersecting(Params(9, 4, 2), 3))
+    i = len(cert.targets) // 2
+    target = cert.targets[i][:-1] + ((99, 1),)  # the out-of-range odd target
+    odd = InjectionCertificate(cert.domain, cert.targets[:i] + (target,) + cert.targets[i + 1 :])
+    assert certificate_to_json(odd) == reference_certificate_to_json(odd)
+    assert jsonl._texts[Params(9, 4, 2)][target] == compact_json(target)
+    assert_refused_as_cold(f'{{"n":9,"k":4,"r":2,"sets":[{compact_json(target)}]}}')
 
 
 @pytest.mark.parametrize("bound", [0, 600, 2000, 20000])
 def test_text_tables_stay_within_their_bound(text_tables, monkeypatch, bound):
     monkeypatch.setattr(jsonl, "MAX_TEXT_PAIRS", bound)
-    tables = (jsonl._set_texts, jsonl._text_sets)
 
     def snapshot():
-        return [{p: dict(table) for p, table in kept.items()} for kept in tables]
+        return {p: dict(table) for p, table in jsonl._texts.items()}
 
     for fam in seeded_families():
         before = snapshot()
         assert_round_trip_matches_reference(fam, assemble_injection(fam))
-        assert held_pairs() == jsonl._held <= bound
-        if 2 * len(fam) * fam.params.k > bound:  # too many sets: the tables are bypassed
+        assert held_pairs() <= bound
+        if len(fam) * fam.params.k > bound:  # too many sets: the table is bypassed
             assert snapshot() == before
-
 
 def test_text_tables_are_safe_across_threads(text_tables, monkeypatch):
     # the two params' sets pass the bound together, so lookups race start-overs
@@ -533,4 +559,4 @@ def test_text_tables_are_safe_across_threads(text_tables, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert failures == []
-    assert held_pairs() == jsonl._held <= 300
+    assert held_pairs() <= 300
