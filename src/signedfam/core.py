@@ -278,12 +278,21 @@ def _check_count(name: str, value: int) -> None:
 
 
 def _signed_sets(ground: range, j: int, r: int) -> list[SignedSet]:
-    """Every signed j-set over ground with signs in [r], sorted."""
-    signs = range(1, r + 1)
+    """Every signed j-set over ground with signs in [r], sorted.
+
+    Each element's slots, its pairs (x, 1), ..., (x, r), are built once
+    per call, and every set is a product over the slot lists of its
+    elements: all sets share one tuple per pair, so a pair costs its
+    memory once and equal pairs compare by identity.  The empty set
+    needs no slots, and no copy of the ground.
+    """
+    if not j:
+        return [()]
+    slots = [tuple((x, a) for a in range(1, r + 1)) for x in ground]
     members = [
-        tuple(zip(elems, vec))
-        for elems in itertools.combinations(ground, j)
-        for vec in itertools.product(signs, repeat=j)
+        sset
+        for lists in itertools.combinations(slots, j)
+        for sset in itertools.product(*lists)
     ]
     # canonical and distinct by construction, but not generated in order
     members.sort()

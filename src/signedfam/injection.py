@@ -187,7 +187,16 @@ def sign_assign(
     (positions by ascending element).  Injectivity across classes
     follows from the matching being injective.  A class larger than
     r^(k-1) cannot be pairwise intersecting and is rejected.
+
+    Each target element's slots, its pairs (x, 1), ..., (x, r), are
+    built once per call, and an image is a product over the slot lists
+    of its target, in the same order as the sign vectors: all images
+    share one tuple per pair.
     """
+    slots = {
+        x: tuple((x, a) for a in range(1, r + 1))
+        for x in set(itertools.chain.from_iterable(matching.values()))
+    }
     out: dict[SignedSet, SignedSet] = {}
     for tail_complement, members in classes.items():
         try:
@@ -202,9 +211,7 @@ def sign_assign(
                 f"support {support(members[0])} carries {len(members)} members, "
                 f"more than the {limit} that can pairwise intersect"
             )
-        vectors = itertools.product(range(1, r + 1), repeat=len(target))
-        for m, vec in zip(members, vectors):
-            out[m] = tuple(zip(target, vec))
+        out.update(zip(members, itertools.product(*map(slots.__getitem__, target))))
     return out
 
 
@@ -270,6 +277,11 @@ def assemble_injection(fam: SignedFamily) -> InjectionCertificate:
     is unproven there and can genuinely fail), NotIntersecting for
     inputs with a disjoint pair, and propagates NoPerfectMatching or
     GroupOverflow, which cannot occur for valid in-range inputs.
+
+    The images share their pairs: each anchored block's distinct pairs
+    go through shift_signs once, and its images are built from the
+    shifted pairs, as sign_assign builds the free class's images from
+    one tuple per slot.
     """
     p = fam.params
     if p.r < 2 or 2 * p.k > p.n:
@@ -282,9 +294,13 @@ def assemble_injection(fam: SignedFamily) -> InjectionCertificate:
     fixed = part.anchored[0].members
     images: dict[SignedSet, SignedSet] = dict(zip(fixed, fixed))
     for i in range(2, p.r + 1):
-        for m in part.anchored[i - 1].members:
+        block = part.anchored[i - 1].members
+        # shift the block's distinct pairs once, so its images share them
+        pairs = tuple(set(itertools.chain.from_iterable(m[1:] for m in block)))
+        rot = dict(zip(pairs, shift_signs(pairs, i - 1, p.r)))
+        for m in block:
             # canonical m leads with (1, i); the shifted tail keeps its order
-            images[m] = ((1, 1),) + shift_signs(m[1:], i - 1, p.r)
+            images[m] = ((1, 1),) + tuple(map(rot.__getitem__, m[1:]))
     classes = complements_in_tail(part.free)
     # the sort fixes the Kuhn order, and so the certificate bytes
     matching = match_to_shadow(tuple(sorted(classes)), p.k)

@@ -116,6 +116,12 @@ def assert_target_refused(cert, i: int, target) -> None:
         replace(cert, targets=targets)
 
 
+def pairs_shared(sets) -> bool:
+    """True when equal pairs across sets are one object: one tuple per distinct pair."""
+    sets = list(sets)
+    return len({id(p) for s in sets for p in s}) == len({p for s in sets for p in s})
+
+
 def min_pairwise_intersection(members) -> int:
     """Smallest |X & Y| over pairs of distinct members: the largest t
     for which they are t-intersecting.  Fewer than two members are

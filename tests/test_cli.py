@@ -1,5 +1,8 @@
 """CLI behavior: exit codes, output shapes, round-trips, determinism."""
 
+import gc
+import io
+import itertools
 import json
 import os
 import subprocess
@@ -12,6 +15,7 @@ import signedfam
 from signedfam import (
     CertificateReport,
     Params,
+    SignedFamily,
     assemble_injection,
     star,
 )
@@ -226,6 +230,13 @@ def test_random_family_requires_seed(capsys):
     assert info.value.code == 2
 
 
+def raise_in_search(monkeypatch, fault):
+    def fail(*args, **kwargs):
+        raise fault
+
+    monkeypatch.setattr("signedfam.cli.max_intersecting_exact", fail)
+
+
 @pytest.mark.parametrize(
     "fault, line",
     [
@@ -235,10 +246,7 @@ def test_random_family_requires_seed(capsys):
     ],
 )
 def test_internal_fault_exit_1(capsys, monkeypatch, fault, line):
-    def fail(*args, **kwargs):
-        raise fault
-
-    monkeypatch.setattr("signedfam.cli.max_intersecting_exact", fail)
+    raise_in_search(monkeypatch, fault)
     code, stdout, stderr = run(capsys, "search", "-n", "4", "-k", "2", "-r", "2")
     assert code == 1
     assert stdout == ""
@@ -442,3 +450,98 @@ def test_negative_budget_exit_2(capsys, command):
     assert code == 2
     assert stdout == ""
     assert stderr == "error: node budget must be >= 0, got -3\n"
+
+
+@pytest.fixture
+def collector_state():
+    """Leave the cyclic collector as the test found it, whatever the test sets."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def test_commands_run_with_the_collector_off(capsys, monkeypatch, collector_state):
+    seen = []
+
+    def command(args):
+        seen.append(gc.isenabled())
+        return 0
+
+    monkeypatch.setattr("signedfam.cli._cmd_search", command)
+    gc.enable()
+    assert run(capsys, "search", "-n", "4", "-k", "2", "-r", "2") == (0, "", "")
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize(
+    "argv, code, plant",
+    [
+        (["star", "-n", "4", "-k", "2", "-r", "2"], 0, None),
+        (["star", "-n", "1", "-k", "2", "-r", "1"], 2, None),
+        (["random-family", "-n", "4", "-k", "2", "-r", "2"], 2, "argparse"),
+        (["universe", "-n", "20", "-k", "10", "-r", "3", "--cap", "100"], 3, None),
+        (["search", "-n", "4", "-k", "2", "-r", "2"], 1, BrokenPipeError),
+        (["search", "-n", "4", "-k", "2", "-r", "2"], 1, MemoryError),
+    ],
+    ids=["exit-0", "exit-2-params", "exit-2-argparse", "exit-3", "exit-1-closed-stdout",
+         "exit-1-internal"],
+)
+def test_main_restores_the_collector_state(
+    capsys, monkeypatch, collector_state, argv, code, plant, enabled
+):
+    if plant is BrokenPipeError:
+        # the reader is gone: main closes stdout, here a stand-in
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+    if plant in (BrokenPipeError, MemoryError):
+        raise_in_search(monkeypatch, plant())
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    if plant == "argparse":
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == code
+    else:
+        assert main(argv) == code
+    assert gc.isenabled() is enabled
+
+
+def test_cyclic_garbage_after_inject_does_not_grow_with_the_family(tmp_path):
+    # with the collector off throughout, what one main() call leaves in
+    # cycles is counted afterwards; a large family must leave no more
+    small = tmp_path / "small.jsonl"
+    small.write_text(signed_family_to_json(star(Params(4, 2, 2))) + "\n")
+    sets = [
+        ((2, 1),) + tuple(zip(rest, vec))
+        for rest in itertools.combinations(range(3, 17), 4)
+        for vec in itertools.product((1, 2), repeat=4)
+    ]
+    large = tmp_path / "large.jsonl"
+    large.write_text(signed_family_to_json(SignedFamily(Params(16, 5, 2), sets)) + "\n")
+    script = (
+        "import gc, sys\n"
+        "gc.disable()\n"
+        "from signedfam.cli import main\n"
+        "gc.collect()\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, gc.isenabled(), gc.collect(), file=sys.stderr)\n"
+    )
+    src = str(Path(signedfam.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    counts = []
+    for fam in (small, large):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "inject", str(fam), "-o", str(tmp_path / "c.json")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        code, enabled, garbage = proc.stderr.split()
+        assert (code, enabled) == ("0", "False")
+        counts.append(int(garbage))
+    assert len(sets) == 16_016
+    assert counts[0] == counts[1]

@@ -3,6 +3,7 @@
 import itertools
 import random
 import sys
+import tracemalloc
 from math import comb
 
 import pytest
@@ -12,6 +13,7 @@ from conftest import (
     TIED_DISJOINT,
     TIED_INTERSECTING,
     intersecting_corpus,
+    pairs_shared,
     pairwise_intersecting,
     sf,
     shift_signs_family,
@@ -248,8 +250,24 @@ def test_universe_and_star_equal_validated_families(p):
         for elems in itertools.combinations(range(1, p.n + 1), p.k)
         for vec in itertools.product(signs, repeat=p.k)
     ]
-    assert universe(p) == SignedFamily(p, tuple(members))
-    assert star(p) == SignedFamily(p, tuple(m for m in members if m[0] == (1, 1)))
+    u, s = universe(p), star(p)
+    assert u == SignedFamily(p, tuple(members))
+    assert s == SignedFamily(p, tuple(m for m in members if m[0] == (1, 1)))
+    # each builds one tuple per (element, sign) slot, shared by its sets
+    assert pairs_shared(u.members)
+    assert pairs_shared(s.members)
+
+
+def test_star_of_one_pair_copies_no_ground():
+    # k = 1: the star's one member is ((1, 1),), with no slot of [2, n] built
+    tracemalloc.start()
+    try:
+        fam = star(Params(4_000_000, 1, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fam.members == (((1, 1),),)
+    assert peak < 1_000_000
 
 
 def test_star_smallest_case():

@@ -9,6 +9,7 @@ from conftest import (
     MissingPair,
     assert_target_refused,
     intersecting_corpus,
+    pairs_shared,
     pairwise_intersecting,
     plain,
     proof_step_report,
@@ -465,6 +466,22 @@ def test_free_class_images_match_reference():
         got = sign_assign(classes, match_to_shadow(tails, fam.params.k), fam.params.r)
         assert got == want
     assert len(families) > 660
+
+
+def test_images_share_one_tuple_per_pair():
+    # a builder that zipped fresh pairs would make one tuple per occurrence
+    for cert in SEEDED_CERTS:
+        fam, r = cert.domain, cert.params.r
+        part = partition_family(fam)
+        classes = complements_in_tail(part.free)
+        housed = sign_assign(classes, match_to_shadow(tuple(sorted(classes)), fam.params.k), r)
+        assert pairs_shared(housed.values())
+        images = dict(cert.mapping)
+        assert pairs_shared(images[m] for m in part.free)
+        for block in part.anchored[1:]:
+            assert pairs_shared(images[m] for m in block)
+    assert sum(len(partition_family(c.domain).free) > 1 for c in SEEDED_CERTS) > 40
+    assert sum(len(partition_family(c.domain).anchored[1]) > 1 for c in SEEDED_CERTS) > 40
 
 
 def test_matching_calls_go_through_the_module_globals(monkeypatch):
