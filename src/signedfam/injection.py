@@ -23,7 +23,9 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter, lt
+from functools import reduce
+from math import comb
+from operator import and_, itemgetter, lt
 
 from .core import (
     Params,
@@ -104,7 +106,30 @@ def shadow_to(members, s: int) -> tuple[PlainSet, ...]:
     The s-shadow of s-sets is those sets, and the 0-shadow of any
     nonempty collection is ((),), so the matching degenerates cleanly
     at 2k = n and at k = 1.
+
+    The enumeration follows exact counts.  Gathering the s-subsets of
+    each member T makes sum C(|T|, s) tuples; listing those of the
+    members' union U makes C(|U|, s).  When the union's count is
+    smaller, each of its candidates is kept iff the member masks of its
+    elements AND to a nonzero mask, that is, iff some member holds it
+    whole, and the sorted union yields them already sorted.  The union
+    is only formed once the sum exceeds C(max |T|, s), a lower bound on
+    C(|U|, s), so an input that gathers per member builds nothing the
+    size of the union.
     """
+    members = tuple(members)
+    if s >= 0:
+        total = sum(comb(len(m), s) for m in members)
+        if members and total > comb(max(map(len, members)), s):
+            union = set().union(*members)
+            if comb(len(union), s) < total:
+                holders = _slot_masks(members).__getitem__
+                everyone = (1 << len(members)) - 1
+                return tuple(
+                    c
+                    for c in itertools.combinations(sorted(union), s)
+                    if reduce(and_, map(holders, c), everyone)
+                )
     out: set[PlainSet] = set()
     for m in members:
         out.update(itertools.combinations(m, s))
@@ -352,13 +377,21 @@ def verify_certificate(cert: InjectionCertificate) -> CertificateReport:
 
 
 def _pair_tuples(targets) -> bool:
-    """True when every target is a tuple of pairs, each a tuple of two exact ints."""
+    """True when every target is a tuple of pairs, each a tuple of two exact ints.
+
+    Targets may share pair objects, as assemble_injection's do, so the
+    pair checks run once per distinct object: pairs are told apart by
+    identity, never by equality, which would let (True, 1) or (1.0, 1)
+    pass as an int (1, 1) seen elsewhere.
+    """
     flat = itertools.chain.from_iterable
+    if not set(map(type, targets)) <= {tuple}:
+        return False
+    pairs = dict(zip(map(id, flat(targets)), flat(targets))).values()
     return (
-        set(map(type, targets)) <= {tuple}
-        and set(map(type, flat(targets))) <= {tuple}
-        and set(map(len, flat(targets))) <= {2}
-        and set(map(type, flat(flat(targets)))) <= {int}
+        set(map(type, pairs)) <= {tuple}
+        and set(map(len, pairs)) <= {2}
+        and set(map(type, flat(pairs))) <= {int}
     )
 
 

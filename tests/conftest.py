@@ -2,8 +2,8 @@
 
 The references further down are test code, not library code: the
 derived-family helpers the proof-step checker needs, the certificate
-writer's reference bytes, and the intersection-shadow (Katona) check
-that acceptance criterion 6 reports.  Plain sets are the sorted int
+writer's reference bytes, the per-member shadow, and the
+intersection-shadow (Katona) check that acceptance criterion 6 reports.  Plain sets are the sorted int
 tuples the library's shadow_to and match_to_shadow take.
 """
 
@@ -120,6 +120,17 @@ def pairs_shared(sets) -> bool:
     """True when equal pairs across sets are one object: one tuple per distinct pair."""
     sets = list(sets)
     return len({id(p) for s in sets for p in s}) == len({p for s in sets for p in s})
+
+
+def reference_shadow(members, s: int) -> tuple:
+    """The s-shadow gathered member by member: each member's s-subsets, deduplicated, sorted.
+
+    The reference for shadow_to, which shares no code with it.
+    """
+    out = set()
+    for m in members:
+        out.update(itertools.combinations(m, s))
+    return tuple(sorted(out))
 
 
 def min_pairwise_intersection(members) -> int:

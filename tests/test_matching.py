@@ -5,14 +5,13 @@ import itertools
 import random
 
 import pytest
-from conftest import free_tails, plain
+from conftest import free_tails, plain, reference_shadow
 
 from signedfam import (
     Params,
     SignedFamily,
     match_to_shadow,
     random_maximal_intersecting,
-    shadow_to,
 )
 from signedfam.errors import NoPerfectMatching
 
@@ -20,14 +19,15 @@ from signedfam.errors import NoPerfectMatching
 def recursive_kuhn(tails, k):
     """Recursive augmenting-path matching: neighbours in combinations() order.
 
-    Rows are looked up subset by subset, with no masks.  Raises
+    Rows are looked up subset by subset, with no masks, in the shadow
+    that reference_shadow gathers member by member.  Raises
     NoPerfectMatching naming the first member left unmatched.  Its
     recursion depth is the augmenting path length, so keep inputs
     small: at (16,5,2) the path length nears the interpreter's limit.
     """
     if not tails:
         return {}
-    sh = shadow_to(tails, k - 1)
+    sh = reference_shadow(tails, k - 1)
     right_index = {m: i for i, m in enumerate(sh)}
     adjacency = [
         [right_index[sub] for sub in itertools.combinations(m, k - 1)] for m in tails

@@ -4,10 +4,42 @@ Plain sets are sorted int tuples, as the library's shadow_to takes them.
 """
 
 import itertools
+import math
+import random
+import re
 
-from conftest import katona_holds, min_pairwise_intersection, plain
+import pytest
+from conftest import (
+    free_tails,
+    katona_holds,
+    min_pairwise_intersection,
+    plain,
+    reference_shadow,
+    sf,
+)
 
+import signedfam.injection as injection
 from signedfam import SplitMix64, shadow_to
+
+
+def union_side(members, s) -> bool:
+    """shadow_to's rule: list the union's s-subsets when that makes fewer tuples."""
+    union = set().union(*members)
+    return s >= 0 and math.comb(len(union), s) < sum(math.comb(len(m), s) for m in members)
+
+
+def signed_through_2_1(n, k, top):
+    """The signed k-sets at r = 2 that hold (2, 1) and lie in {2, ..., top - 1}."""
+    return sf(
+        n,
+        k,
+        2,
+        [
+            [(2, 1)] + list(zip(rest, vec))
+            for rest in itertools.combinations(range(3, top), k - 1)
+            for vec in itertools.product((1, 2), repeat=k - 1)
+        ],
+    )
 
 
 def test_shadow_to_returns_sorted_distinct_subsets():
@@ -73,3 +105,75 @@ def test_katona_on_sampled_subfamilies():
         sub_t = min_pairwise_intersection(sub)
         assert sub_t >= t
         assert katona_holds(sub, min(t, sub_t))
+
+
+def random_collection(rng):
+    """Up to six plain sets over [1, n], of mixed sizes, the empty set among them."""
+    n = rng.randint(1, 9)
+    return [
+        tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, n))))
+        for _ in range(rng.randint(0, 6))
+    ]
+
+
+def test_shadow_to_matches_the_per_member_reference(monkeypatch):
+    # shadow_to builds masks on the union side alone, so counting the
+    # builds shows which side each case took
+    builds = []
+    slot_masks = injection._slot_masks
+    monkeypatch.setattr(injection, "_slot_masks", lambda ms: builds.append(ms) or slot_masks(ms))
+    seen = set()
+    for seed in range(2400):
+        rng = random.Random(seed)
+        members = random_collection(rng)
+        s = rng.randint(0, 10)
+        builds.clear()
+        # every fourth case hands shadow_to a generator of the members
+        given = iter(members) if seed % 4 == 0 else members
+        assert shadow_to(given, s) == reference_shadow(members, s), (seed, members, s)
+        union = union_side(members, s)
+        assert len(builds) == union, (seed, members, s)
+        cases = {
+            "any": True,
+            "generator": seed % 4 == 0,
+            "s = 0": s == 0,
+            "an empty member": () in members,
+            "s above every size": s > max(map(len, members), default=0),
+            "the empty collection": not members,
+        }
+        seen.update((union, case) for case, holds in cases.items() if holds)
+    # the last two make no tuple on either side, so the rule never lists the union
+    assert seen == {(False, case) for case in cases} | {
+        (True, case) for case in ("any", "generator", "s = 0", "an empty member")
+    }
+
+
+@pytest.mark.parametrize(
+    ("n", "k", "top", "union"),
+    [
+        # (16,5,2): 1,001 union candidates against 210,210 per-member subsets
+        (16, 5, 17, True),
+        # n = 200: 15 tails of 196 elements, sparse in their union
+        (200, 3, 9, True),
+        # n = 2k: each tail is its own only (k-1)-subset
+        (8, 4, 9, False),
+    ],
+)
+def test_shadow_to_matches_the_reference_on_injection_tails(n, k, top, union):
+    tails = free_tails(signed_through_2_1(n, k, top))
+    assert union_side(tails, k - 1) == union
+    assert shadow_to(tails, k - 1) == reference_shadow(tails, k - 1)
+
+
+def test_shadow_of_one_long_tail_is_itself():
+    tail = (tuple(range(10002, 20001)),)
+    assert shadow_to(tail, 9999) == reference_shadow(tail, 9999) == tail
+
+
+def test_negative_s_raises_as_the_reference_does():
+    for members in (((1, 2),), ((),), ((1,), (2,), (1, 2))):
+        with pytest.raises(ValueError) as want:
+            reference_shadow(members, -1)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            shadow_to(members, -1)
+    assert shadow_to((), -1) == reference_shadow((), -1) == ()
