@@ -21,11 +21,11 @@ fixed input always produces a bit-identical certificate.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
 from math import comb
-from operator import and_, itemgetter, lt
+from operator import and_, itemgetter, lt, sub
 
 from .core import (
     Params,
@@ -63,21 +63,32 @@ class Partition:
     anchored: tuple[SignedFamily, ...]
 
 
+def _cuts(members: tuple[SignedSet, ...], r: int) -> list[int]:
+    """Where each of partition_family's blocks starts in canonical order.
+
+    (1, a) < (x, b) for every x >= 2, so sorted members hold the (1, 1)
+    block first, then (1, 2), ..., (1, r), then the free class: the
+    (1, a) block runs from cuts[a - 1] to cuts[a], and the free class
+    from cuts[r] to the end.
+    """
+    cuts = [bisect_left(members, ((1, a),)) for a in range(1, r + 1)]
+    cuts.append(bisect_left(members, ((2,),)))
+    return cuts
+
+
 def partition_family(fam: SignedFamily) -> Partition:
-    """Classify members by the sign attached to element 1, if any."""
-    r = fam.params.r
-    free: list[SignedSet] = []
-    blocks: list[list[SignedSet]] = [[] for _ in range(r)]
-    for m in fam.members:
-        # element 1, when present, sits in the first pair of the canonical form
-        if m[0][0] == 1:
-            blocks[m[0][1] - 1].append(m)
-        else:
-            free.append(m)
+    """Classify members by the sign attached to element 1, if any.
+
+    Element 1, when present, leads a member's canonical form, so the
+    blocks are contiguous runs of the sorted members: r + 1 binary
+    searches find where they start, and each block is a slice.
+    """
+    p, members = fam.params, fam.members
+    cuts = _cuts(members, p.r)
     # subsequences of an already canonical family need no re-validation
     return Partition(
-        _canonical_family(fam.params, tuple(free)),
-        tuple(_canonical_family(fam.params, tuple(b)) for b in blocks),
+        _canonical_family(p, members[cuts[-1] :]),
+        tuple(_canonical_family(p, members[i:j]) for i, j in itertools.pairwise(cuts)),
     )
 
 
@@ -86,18 +97,25 @@ def complements_in_tail(free: SignedFamily) -> dict[PlainSet, list[SignedSet]]:
 
     The tail complement is the support's complement within {2, ..., n},
     a bijection, so there is one key per distinct support.  Each class
-    lists its members in canonical order.
+    lists its members in canonical order.  Every support is read in one
+    C-level pass: the members' first coordinates, flattened, cut into
+    runs of k.
     """
     tail = range(2, free.params.n + 1)
+    elements = map(itemgetter(0), itertools.chain.from_iterable(free.members))
     by_support: dict[PlainSet, list[SignedSet]] = {}
-    for m in free.members:
-        by_support.setdefault(support(m), []).append(m)
+    for sup, m in zip(zip(*[elements] * free.params.k), free.members):
+        by_support.setdefault(sup, []).append(m)
     classes = {}
     for sup, members in by_support.items():
         if 1 in sup:
             raise ContainsOne(f"member {members[0]} contains element 1")
         classes[tuple(x for x in tail if x not in sup)] = members
     return classes
+
+
+#: Below this many per-member subsets, shadow_to gathers them whatever the union makes.
+_UNION_FLOOR = 1_000
 
 
 def shadow_to(members, s: int) -> tuple[PlainSet, ...]:
@@ -112,15 +130,17 @@ def shadow_to(members, s: int) -> tuple[PlainSet, ...]:
     members' union U makes C(|U|, s).  When the union's count is
     smaller, each of its candidates is kept iff the member masks of its
     elements AND to a nonzero mask, that is, iff some member holds it
-    whole, and the sorted union yields them already sorted.  The union
-    is only formed once the sum exceeds C(max |T|, s), a lower bound on
-    C(|U|, s), so an input that gathers per member builds nothing the
-    size of the union.
+    whole, and the sorted union yields them already sorted.  Listing
+    the union has fixed costs, the union, the masks and a reduce per
+    candidate, which gathering a sum up to _UNION_FLOOR does not
+    repay; past that sum, the union is only formed once the sum also
+    exceeds C(max |T|, s), a lower bound on C(|U|, s), so an input that
+    gathers per member builds nothing the size of the union.
     """
     members = tuple(members)
     if s >= 0:
         total = sum(comb(len(m), s) for m in members)
-        if members and total > comb(max(map(len, members)), s):
+        if total > _UNION_FLOOR and total > comb(max(map(len, members)), s):
             union = set().union(*members)
             if comb(len(union), s) < total:
                 holders = _slot_masks(members).__getitem__
@@ -249,6 +269,10 @@ class InjectionCertificate:
     are refused), of any length.  targets is stored as a tuple, whatever
     sequence it is given as.  Construction raises TypeError on any
     other target and ValueError on a count other than the domain's.
+    The type check gathers the targets' distinct pair objects, and the
+    certificate keeps them beside its fields for verify_certificate's
+    range check; every construction, dataclasses.replace included,
+    gathers them afresh.
     Everything else is read off the domain: params, the (source, target)
     mapping, and block_sizes, the partition class sizes (free class
     first, then one entry per sign), so none of it can disagree with the domain.
@@ -263,12 +287,15 @@ class InjectionCertificate:
             raise ValueError(
                 f"{len(self.targets)} targets for a domain of {len(self.domain)} members"
             )
-        if not _pair_tuples(self.targets):
+        pairs = _pair_tuples(self.targets)
+        if pairs is None:
             for s, t in zip(self.domain.members, self.targets):
-                if not _pair_tuples((t,)):
+                if _pair_tuples((t,)) is None:
                     raise TypeError(
                         f"target {t!r} of source {s} is not a tuple of integer pairs"
                     )
+        # not a field: eq, hash and repr see the domain and targets alone
+        object.__setattr__(self, "_pairs", pairs)
 
     @property
     def params(self) -> Params:
@@ -280,10 +307,9 @@ class InjectionCertificate:
 
     @property
     def block_sizes(self) -> tuple[int, ...]:
-        # partition_family's rule: a member's first pair decides its block
-        firsts = Counter(map(itemgetter(0), self.domain.members))
-        anchored = tuple(firsts[1, i] for i in range(1, self.params.r + 1))
-        return (len(self.domain) - sum(anchored),) + anchored
+        # partition_family's cuts: the blocks are runs of the sorted domain
+        cuts = _cuts(self.domain.members, self.params.r)
+        return (len(self.domain) - cuts[-1],) + tuple(map(sub, cuts[1:], cuts))
 
 
 @dataclass(frozen=True)
@@ -316,23 +342,22 @@ def assemble_injection(fam: SignedFamily) -> InjectionCertificate:
     if not is_intersecting(fam):
         raise NotIntersecting("input family has a disjoint pair of members")
     part = partition_family(fam)
-    fixed = part.anchored[0].members
-    images: dict[SignedSet, SignedSet] = dict(zip(fixed, fixed))
+    # the blocks are runs of fam.members in this order, so the targets are too
+    targets = list(part.anchored[0].members)
     for i in range(2, p.r + 1):
         block = part.anchored[i - 1].members
         # shift the block's distinct pairs once, so its images share them
         pairs = tuple(set(itertools.chain.from_iterable(m[1:] for m in block)))
-        rot = dict(zip(pairs, shift_signs(pairs, i - 1, p.r)))
-        for m in block:
-            # canonical m leads with (1, i); the shifted tail keeps its order
-            images[m] = ((1, 1),) + tuple(map(rot.__getitem__, m[1:]))
+        shifted = dict(zip(pairs, shift_signs(pairs, i - 1, p.r))).__getitem__
+        # canonical m leads with (1, i); the shifted tail keeps its order
+        targets.extend(((1, 1),) + tuple(map(shifted, m[1:])) for m in block)
     classes = complements_in_tail(part.free)
     # the sort fixes the Kuhn order, and so the certificate bytes
     matching = match_to_shadow(tuple(sorted(classes)), p.k)
-    for m, housed in sign_assign(classes, matching, p.r).items():
-        # housed is sorted over elements >= 2, so (1, 1) goes first
-        images[m] = ((1, 1),) + housed
-    cert = InjectionCertificate(fam, tuple(map(images.__getitem__, fam.members)))
+    housed = sign_assign(classes, matching, p.r)
+    # housed is sorted over elements >= 2, so (1, 1) goes first
+    targets.extend(((1, 1),) + housed[m] for m in part.free.members)
+    cert = InjectionCertificate(fam, targets)
     report = verify_certificate(cert)
     if not report.ok:
         raise VerificationFailed("; ".join(report.problems))
@@ -340,10 +365,12 @@ def assemble_injection(fam: SignedFamily) -> InjectionCertificate:
 
 
 def verify_certificate(cert: InjectionCertificate) -> CertificateReport:
-    """Re-check a certificate from scratch, trusting nothing.
+    """Re-check a certificate from scratch, trusting nothing but its construction.
 
-    The domain's members are signed k-sets for params and the targets
-    are tuples of integer pairs, one per member, both by construction.
+    Construction guarantees that the domain's members are signed k-sets
+    for params, that the targets are tuples of integer pairs, one per
+    member, and that the certificate holds the targets' distinct pair
+    objects, gathered by its type check.
     Confirms the targets are distinct as sets, and each holds (1, 1) and
     is a valid signed k-set: distinct star members, which alone bounds
     the domain by the star's size.  Failures are report content and name
@@ -354,7 +381,7 @@ def verify_certificate(cert: InjectionCertificate) -> CertificateReport:
     sources = cert.domain.members
     targets = list(cert.targets)
     invalid: list[str] = []
-    if not _all_targets_valid(targets, p):
+    if not _all_targets_valid(targets, cert._pairs, p):
         # word each failing target's problem, in domain order; canonicalize the rest
         for i, (s, t) in enumerate(zip(sources, cert.targets)):
             if (1, 1) not in t:
@@ -376,42 +403,46 @@ def verify_certificate(cert: InjectionCertificate) -> CertificateReport:
     return CertificateReport(tuple(problems))
 
 
-def _pair_tuples(targets) -> bool:
-    """True when every target is a tuple of pairs, each a tuple of two exact ints.
+def _pair_tuples(targets) -> tuple | None:
+    """The distinct pair objects of targets, or None unless each is a tuple of integer pairs.
 
-    Targets may share pair objects, as assemble_injection's do, so the
-    pair checks run once per distinct object: pairs are told apart by
-    identity, never by equality, which would let (True, 1) or (1.0, 1)
-    pass as an int (1, 1) seen elsewhere.
+    A pair must be a tuple of two exact ints.  Targets may share pair
+    objects, as assemble_injection's do, so the pair checks run once
+    per distinct object: pairs are told apart by identity, never by
+    equality, which would let (True, 1) or (1.0, 1) pass as an int
+    (1, 1) seen elsewhere.
     """
     flat = itertools.chain.from_iterable
     if not set(map(type, targets)) <= {tuple}:
-        return False
-    pairs = dict(zip(map(id, flat(targets)), flat(targets))).values()
-    return (
+        return None
+    pairs = tuple(dict(zip(map(id, flat(targets)), flat(targets))).values())
+    if (
         set(map(type, pairs)) <= {tuple}
         and set(map(len, pairs)) <= {2}
         and set(map(type, flat(pairs))) <= {int}
-    )
+    ):
+        return pairs
+    return None
 
 
-def _all_targets_valid(targets: list, p: Params) -> bool:
+def _all_targets_valid(targets: list, pairs: tuple, p: Params) -> bool:
     """True when every target is a canonical signed k-set led by (1, 1).
 
     A sufficient test made of C-level passes over all targets at once,
-    which InjectionCertificate holds as tuples of integer pairs: each is
-    k pairs led by (1, 1), each distinct pair has two in-range entries,
-    and elements strictly increase along each target.  Every such target
-    passes the per-target check; False only means that check must run.
+    which InjectionCertificate holds as tuples of integer pairs, with
+    pairs their distinct pair objects: each target is k pairs led by
+    (1, 1), each distinct pair has two in-range entries, and elements
+    strictly increase along each target, which k - 1 slices of the flat
+    element list compare.  Every such target passes the per-target
+    check; False only means that check must run.
     """
     n, k, r = p.n, p.k, p.r
-    flat = itertools.chain.from_iterable
-    return (
+    if not (
         set(map(len, targets)) <= {k}
         and set(map(itemgetter(0), targets)) <= {(1, 1)}
-        and all(1 <= x <= n and 1 <= a <= r for x, a in set(flat(targets)))
-        and all(
-            all(map(lt, map(itemgetter(0), left), map(itemgetter(0), right)))
-            for left, right in itertools.pairwise(zip(*targets))
-        )
-    )
+        and all(1 <= x <= n and 1 <= a <= r for x, a in pairs)
+    ):
+        return False
+    # every target has k pairs, so position j of each is every k-th element from j
+    elements = list(map(itemgetter(0), itertools.chain.from_iterable(targets)))
+    return all(all(map(lt, elements[j::k], elements[j + 1 :: k])) for j in range(k - 1))

@@ -2,7 +2,8 @@
 
 The references further down are test code, not library code: the
 derived-family helpers the proof-step checker needs, the certificate
-writer's reference bytes, the per-member shadow, and the
+writer's reference bytes, the member-by-member partition, block sizes
+and support classes, the per-member shadow, and the
 intersection-shadow (Katona) check that acceptance criterion 6 reports.  Plain sets are the sorted int
 tuples the library's shadow_to and match_to_shadow take.
 """
@@ -14,6 +15,7 @@ import itertools
 import json
 import random
 import re
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -32,7 +34,7 @@ from signedfam import (
     support,
     universe,
 )
-from signedfam.errors import Error
+from signedfam.errors import ContainsOne, Error
 
 
 def pair_mask(sset, r: int) -> int:
@@ -114,6 +116,46 @@ def assert_target_refused(cert, i: int, target) -> None:
         InjectionCertificate(cert.domain, targets)
     with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
         replace(cert, targets=targets)
+
+
+def reference_partition(fam: SignedFamily) -> tuple:
+    """partition_family member by member, as (free, anchored) tuples of members.
+
+    A member's first pair decides its block: (1, i) puts it in
+    anchored[i - 1], any other pair in the free class.
+    """
+    free, anchored = [], [[] for _ in range(fam.params.r)]
+    for m in fam.members:
+        if m[0][0] == 1:
+            anchored[m[0][1] - 1].append(m)
+        else:
+            free.append(m)
+    return tuple(free), tuple(map(tuple, anchored))
+
+
+def reference_block_sizes(fam: SignedFamily) -> tuple:
+    """The partition class sizes, free class first, from a count of first pairs."""
+    firsts = Counter(m[0] for m in fam.members)
+    anchored = tuple(firsts[1, i] for i in range(1, fam.params.r + 1))
+    return (len(fam) - sum(anchored),) + anchored
+
+
+def reference_complements_in_tail(free: SignedFamily) -> dict:
+    """complements_in_tail with one support() call per member.
+
+    Classes keep the order in which their supports first occur, and a
+    support holding element 1 raises as the library does.
+    """
+    by_support: dict = {}
+    for m in free.members:
+        by_support.setdefault(support(m), []).append(m)
+    tail = range(2, free.params.n + 1)
+    out = {}
+    for sup, members in by_support.items():
+        if 1 in sup:
+            raise ContainsOne(f"member {members[0]} contains element 1")
+        out[tuple(x for x in tail if x not in sup)] = members
+    return out
 
 
 def pairs_shared(sets) -> bool:

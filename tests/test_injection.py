@@ -1,6 +1,7 @@
 """Injection pipeline: partition, strip, supports, matching, assembly."""
 
 import dataclasses
+import functools
 import itertools
 import re
 
@@ -13,7 +14,10 @@ from conftest import (
     pairwise_intersecting,
     plain,
     proof_step_report,
+    reference_block_sizes,
     reference_certificate_to_json,
+    reference_complements_in_tail,
+    reference_partition,
     sf,
     signed_versions,
     strip_first,
@@ -292,11 +296,13 @@ def test_verify_certificate_flags_relabelled_params():
 
 
 def test_block_sizes_are_the_partition_class_sizes():
-    # block_sizes is read off the domain by partition_family's rule, whatever the targets
-    families = [fam for _, fam in intersecting_corpus()] + [c.domain for c in SEEDED_CERTS]
+    # block_sizes is read off the domain by partition_family's rule, whatever the
+    # targets, and agrees with a count of the members' first pairs
+    families = [fam for _, fam in intersecting_corpus()] + list(cut_corpus())
     for fam in families:
         part = partition_family(fam)
         want = (len(part.free),) + tuple(len(b) for b in part.anchored)
+        assert want == reference_block_sizes(fam), fam
         assert InjectionCertificate(fam, fam.members).block_sizes == want, fam
     cert = assemble_injection(star(Params(4, 2, 2)))
     with pytest.raises(TypeError, match="block_sizes"):
@@ -485,12 +491,15 @@ def test_images_share_one_tuple_per_pair():
 
 
 def test_matching_calls_go_through_the_module_globals(monkeypatch):
-    # perfbench/spans.py times the matching and counts the shadow by rebinding
-    # these two names in signedfam.injection; a call that bypassed them would
-    # leave its wrappers wrapping nothing
+    # perfbench/spans.py times each stage, and the shadow match_to_shadow
+    # takes, by rebinding these names in signedfam.injection; a call that
+    # bypassed them, or a stage folded into assemble_injection, would leave
+    # its wrapper wrapping nothing
     import signedfam.injection as injection
 
-    results = {"shadow_to": [], "match_to_shadow": []}
+    names = ("partition_family", "complements_in_tail", "match_to_shadow", "shadow_to",
+             "sign_assign", "verify_certificate")
+    results = {name: [] for name in names}
     for name, calls in results.items():
 
         def counted(*args, fn=getattr(injection, name), calls=calls):
@@ -501,8 +510,123 @@ def test_matching_calls_go_through_the_module_globals(monkeypatch):
     fam = six_sets_through_pair_2_1()
     assert len(partition_family(fam).free) == 4
     injection.assemble_injection(fam)
-    assert [len(calls) for calls in results.values()] == [1, 1]
+    assert {name: len(calls) for name, calls in results.items()} == dict.fromkeys(results, 1)
     assert len(results["shadow_to"][0]) > 0
+
+
+def through_2_1_avoiding_1_1():
+    """The signed 3-sets at (9,3,3) that hold (2, 1) and not (1, 1).
+
+    Its (1, 1) block is empty, so its targets start with a shifted block:
+    block sizes a0 = 189, a = [0, 21, 21].
+    """
+    sets = [
+        list(zip(c, v))
+        for c in itertools.combinations(range(1, 10), 3)
+        for v in itertools.product((1, 2, 3), repeat=3)
+    ]
+    return sf(9, 3, 3, [m for m in sets if (2, 1) in m and (1, 1) not in m])
+
+
+@functools.cache
+def cut_corpus():
+    """Families whose blocks the canonical-order cuts must find.
+
+    Every SEEDED_CERTS domain; ten seeded random maximal families at each
+    of r = 2, 3 and 4; each of those with one partition class emptied, in
+    turn; and a (9,3,3) family with an empty (1, 1) block.
+    """
+    families = [c.domain for c in SEEDED_CERTS]
+    randoms = [
+        random_maximal_intersecting(p, seed)
+        for p in (Params(6, 3, 2), Params(7, 3, 3), Params(6, 3, 4))
+        for seed in range(10)
+    ]
+    families += randoms
+    for fam in randoms:
+        firsts = [(0,)] + [(1, i) for i in range(1, fam.params.r + 1)]
+        for first in firsts:
+            # (0,) stands for the free class: members whose first pair is not (1, i)
+            kept = [m for m in fam.members if (m[0] if m[0][0] == 1 else (0,)) != first]
+            families.append(SignedFamily(fam.params, tuple(kept)))
+    families.append(through_2_1_avoiding_1_1())
+    return tuple(families)
+
+
+def test_cut_corpus_has_empty_classes_at_every_position():
+    shapes = [reference_block_sizes(fam) for fam in cut_corpus()]
+    for r in (2, 3, 4):
+        for i in range(r + 1):
+            # class i empty while a later class, or an earlier one, is not
+            assert any(len(a) == r + 1 and a[i] == 0 and sum(a) > 0 for a in shapes), (r, i)
+    assert (189, 0, 21, 21) in shapes
+
+
+def test_partition_matches_the_member_loop_reference():
+    for fam in cut_corpus():
+        part = partition_family(fam)
+        free, anchored = reference_partition(fam)
+        assert part.free.members == free
+        assert tuple(b.members for b in part.anchored) == anchored
+        assert {b.params for b in (part.free,) + part.anchored} == {fam.params}
+
+
+def test_complements_in_tail_match_the_support_reference():
+    for fam in cut_corpus():
+        free = partition_family(fam).free
+        # equal as dicts and in class order, which fixes the matching's input
+        got = complements_in_tail(free)
+        assert list(got.items()) == list(reference_complements_in_tail(free).items())
+        if len(free) < len(fam):
+            with pytest.raises(ContainsOne) as want:
+                reference_complements_in_tail(fam)
+            with pytest.raises(ContainsOne, match=f"^{re.escape(str(want.value))}$"):
+                complements_in_tail(fam)
+
+
+def test_targets_start_with_a_shifted_block_when_the_1_1_block_is_empty():
+    fam = through_2_1_avoiding_1_1()
+    cert = assemble_injection(fam)
+    assert cert.block_sizes == (189, 0, 21, 21)
+    assert fam.members[0] == ((1, 2), (2, 1), (3, 1))
+    assert cert.targets[0] == ((1, 1), (2, 2), (3, 2))
+    assert verify_certificate(cert).ok
+
+
+def _with_last_pair(cert, indices, pair):
+    """cert.targets with the last pair of each target in indices replaced by pair."""
+    return tuple(t[:-1] + (pair,) if i in indices else t for i, t in enumerate(cert.targets))
+
+
+#: Targets whose fault only the range or order part of the one-pass check can see.
+BAD_PAIRS = {
+    # element n + 1 still increases along the target
+    "out-of-range pair in one target": lambda cert: InjectionCertificate(
+        cert.domain, _with_last_pair(cert, {1}, (cert.params.n + 1, 1))
+    ),
+    "out-of-range pair object in several targets": lambda cert: InjectionCertificate(
+        cert.domain, _with_last_pair(cert, {0, 2, 5}, (cert.params.n + 1, 1))
+    ),
+    # the last element repeats an earlier one, with a sign in range
+    "elements out of order at the last position": lambda cert: InjectionCertificate(
+        cert.domain,
+        _with_last_pair(cert, {3}, (cert.targets[3][1][0], cert.targets[3][-1][1])),
+    ),
+    # a certificate already checked once: its distinct pairs must be gathered anew
+    "bad pair brought in by replace": lambda cert: dataclasses.replace(
+        cert, targets=_with_last_pair(cert, {4}, (cert.targets[4][-1][0], 0))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_PAIRS))
+def test_verify_certificate_refuses_bad_pairs(name):
+    for cert in SEEDED_CERTS[::4]:
+        assert verify_certificate(cert).ok
+        bad = BAD_PAIRS[name](cert)
+        rep = verify_certificate(bad)
+        assert not rep.ok
+        assert rep == reference_verify_certificate(bad)
 
 
 def test_verify_certificate_matches_reference_on_valid():

@@ -23,9 +23,11 @@ from signedfam import SplitMix64, shadow_to
 
 
 def union_side(members, s) -> bool:
-    """shadow_to's rule: list the union's s-subsets when that makes fewer tuples."""
+    """shadow_to's rule: list the union's s-subsets when that makes fewer tuples,
+    and gathering member by member would make more than 1,000."""
     union = set().union(*members)
-    return s >= 0 and math.comb(len(union), s) < sum(math.comb(len(m), s) for m in members)
+    total = sum(math.comb(len(m), s) for m in members) if s >= 0 else 0
+    return total > 1_000 and math.comb(len(union), s) < total
 
 
 def signed_through_2_1(n, k, top):
@@ -108,11 +110,17 @@ def test_katona_on_sampled_subfamilies():
 
 
 def random_collection(rng):
-    """Up to six plain sets over [1, n], of mixed sizes, the empty set among them."""
-    n = rng.randint(1, 9)
+    """Plain sets over [1, n], of mixed sizes, the empty set among them.
+
+    Most draws are up to six sets over n <= 9.  One in six is dense:
+    300 to 1,200 sets over n <= 10, enough subsets in all to pass
+    shadow_to's floor, and at s = 0 enough members.
+    """
+    dense = rng.randrange(6) == 0
+    n = rng.randint(1, 10 if dense else 9)
     return [
         tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, n))))
-        for _ in range(rng.randint(0, 6))
+        for _ in range(rng.randint(300, 1200) if dense else rng.randint(0, 6))
     ]
 
 

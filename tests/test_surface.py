@@ -113,6 +113,12 @@ def test_certificate_holds_only_its_domain_and_targets():
     fields = [f.name for f in dataclasses.fields(signedfam.InjectionCertificate)]
     assert fields == ["domain", "targets"]
     assert [f.name for f in dataclasses.fields(signedfam.CertificateReport)] == ["problems"]
+    # the distinct pairs its type check gathers stay out of eq, hash and repr
+    cert = signedfam.assemble_injection(signedfam.star(signedfam.Params(4, 2, 2)))
+    assert repr(cert) == f"InjectionCertificate(domain={cert.domain!r}, targets={cert.targets!r})"
+    fresh = [tuple((x, a) for x, a in t) for t in cert.targets]
+    twin = signedfam.InjectionCertificate(cert.domain, fresh)
+    assert twin == cert and hash(twin) == hash(cert)
 
 
 def test_results_hold_only_what_they_found():
