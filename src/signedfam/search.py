@@ -200,12 +200,6 @@ def _greedy_clique(adj, order) -> list[int]:
     return chosen
 
 
-def _picked(verts, indices) -> tuple:
-    """The tuple of verts[i] for i in indices, a nonempty sequence, in one itemgetter call."""
-    # itemgetter of one index returns the bare vertex (k = 1 cliques)
-    return itemgetter(*indices)(verts) if len(indices) > 1 else (verts[indices[0]],)
-
-
 def max_intersecting_exact(
     params: Params, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> SearchResult:
@@ -310,9 +304,13 @@ def enumerate_maximal_intersecting(
     cur: list[int] = []
 
     def to_families(cliques) -> list[SignedFamily]:
-        # verts is sorted, so sorting index tuples sorts the member tuples
+        # verts is sorted, so sorting index tuples sorts the member tuples;
+        # itemgetter of one index returns the bare member (k = 1 cliques)
         return [
-            _canonical_family(params, _picked(verts, clique))
+            _canonical_family(
+                params,
+                itemgetter(*clique)(verts) if len(clique) > 1 else (verts[clique[0]],),
+            )
             for clique in sorted(map(tuple, map(sorted, cliques)))
         ]
 
@@ -374,15 +372,13 @@ def random_maximal_intersecting(params: Params, seed: int) -> SignedFamily:
 
     The universe is shuffled by a SplitMix64-driven Fisher-Yates pass,
     then scanned greedily: a set is kept whenever it intersects every
-    set kept so far; the result is maximal.  The kept indices, sorted,
-    pick the members out of the sorted universe in one itemgetter call.
-    A seed that is not an int in [0, 2^64) raises ValueError before the
-    graph is built.
+    set kept so far; the result is maximal.  A seed that is not an int
+    in [0, 2^64) raises ValueError before the graph is built.
     """
     rng = SplitMix64(seed)
     verts, adj = _intersection_graph(params)
     idx = list(range(len(verts)))
     rng.shuffle(idx)
     chosen = sorted(_greedy_clique(adj, idx))
-    return _canonical_family(params, _picked(verts, chosen))
+    return _canonical_family(params, tuple(verts[i] for i in chosen))
 
