@@ -19,26 +19,22 @@ containers, so the collector's passes would rescan it without ever
 freeing any of it; the garbage a run leaves in cycles is argparse's, a
 few hundred objects whatever the input size.  main() restores the
 collector's state on every exit, so a caller that had it on gets it
-back on, and one that had it off keeps it off.
+back on, and one that had it off keeps it off.  The state is
+process-wide: while a command runs, other threads' cycles wait too.
+
+A command imports only the modules it runs: injection and jsonl load
+inside the commands that use them, so search and verify-bound load
+core, errors and search alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import gc
 import sys
 
-from .core import DEFAULT_CAP, Params, bound_value, star, universe
+from .core import DEFAULT_CAP, Params, _collector_paused, bound_value, compact_json, star, universe
 from .errors import Error, FormatError, NotIntersecting, TooLarge, UnsupportedRange
-from .injection import assemble_injection
-from .jsonl import (
-    certificate_to_json,
-    compact_json,
-    read_signed_families,
-    signed_family_to_json,
-    write_signed_families,
-)
 from .search import DEFAULT_NODE_BUDGET, max_intersecting_exact, random_maximal_intersecting
 
 
@@ -67,6 +63,8 @@ def _params(args) -> Params:
 
 
 def _emit_family(fam, args) -> int:
+    from .jsonl import signed_family_to_json, write_signed_families
+
     if args.out:
         write_signed_families(args.out, [fam])
         if args.json:
@@ -94,6 +92,9 @@ def _cmd_random_family(args) -> int:
 
 
 def _cmd_inject(args) -> int:
+    from .injection import assemble_injection
+    from .jsonl import certificate_to_json, read_signed_families
+
     families = read_signed_families(args.family)
     if len(families) != 1:
         raise ValueError(f"expected exactly one family in {args.family}, found {len(families)}")
@@ -231,18 +232,6 @@ _EXIT_CODES = {
     UnsupportedRange: 5,
     Error: 1,
 }
-
-
-@contextlib.contextmanager
-def _collector_paused():
-    """Run the block with the cyclic garbage collector off, then restore its state."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def main(argv=None) -> int:

@@ -21,7 +21,10 @@ arguments and are safe to run concurrently on shared inputs.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import itertools
+import json
 import reprlib
 from collections import Counter
 from dataclasses import dataclass
@@ -42,6 +45,28 @@ PlainSet = tuple[int, ...]
 
 #: Default size cap for universe(), star() and enumerate_maximal_intersecting().
 DEFAULT_CAP = 10_000_000
+
+#: Compact JSON text, the bytes of json.dumps(obj, separators=(",", ":")).
+#: The cycle check is off: every object written is built fresh from
+#: tuples, ints, strings and dicts, so none can contain itself, and the
+#: check would only add an id-marker entry per container.
+compact_json = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+
+
+@contextlib.contextmanager
+def _collector_paused():
+    """Run the block with the cyclic garbage collector off, then restore its state.
+
+    The state is process-wide: while the block runs, no thread's cycles
+    are collected.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class _Shown(reprlib.Repr):

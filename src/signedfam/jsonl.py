@@ -18,10 +18,11 @@ element order within a set and duplicate sets; Params words a bad n, k
 or r, and make_signed_set a set's ranges, repeated elements and size.
 
 Writers emit compact UTF-8 with LF line endings, byte-stable for a fixed
-input: the bytes of compact_json.  certificate_to_json writes its map
-one row per entry, and both sides of a row the way signed_family_to_json
-writes a set, which InjectionCertificate makes sound: its targets, like
-its sources, are tuples of exact-int pairs.
+input: the bytes of compact_json, which core defines and this module
+re-exports.  certificate_to_json writes its map one row per entry, and
+both sides of a row the way signed_family_to_json writes a set, which
+InjectionCertificate makes sound: its targets, like its sources, are
+tuples of exact-int pairs.
 
 Set texts are kept across calls, per (n, k, r), in one table.  A tuple
 key maps a set written, a family member or a certificate target, to its
@@ -46,17 +47,13 @@ from functools import partial
 from itertools import chain, pairwise, repeat
 from operator import itemgetter, lt
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .core import Params, SignedFamily, _canonical_family, make_signed_set
+from .core import Params, SignedFamily, _canonical_family, compact_json, make_signed_set
 from .errors import Error, FormatError
-from .injection import InjectionCertificate
 
-
-#: Compact JSON text, the bytes of json.dumps(obj, separators=(",", ":")).
-#: The cycle check is off: every object written is built fresh from
-#: tuples, ints, strings and dicts, so none can contain itself, and the
-#: check would only add an id-marker entry per container.
-compact_json = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+if TYPE_CHECKING:  # certificate_to_json only reads a certificate's attributes
+    from .injection import InjectionCertificate
 
 _flat = chain.from_iterable
 _POSITIVE = "([1-9][0-9]*)"

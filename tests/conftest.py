@@ -11,6 +11,7 @@ tuples the library's shadow_to and match_to_shadow take.
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 import json
 import random
@@ -35,6 +36,17 @@ from signedfam import (
     universe,
 )
 from signedfam.errors import ContainsOne, Error
+
+
+@pytest.fixture
+def collector_state():
+    """Leave the cyclic collector as the test found it, whatever the test sets."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
 
 
 def pair_mask(sset, r: int) -> int:

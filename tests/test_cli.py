@@ -452,17 +452,6 @@ def test_negative_budget_exit_2(capsys, command):
     assert stderr == "error: node budget must be >= 0, got -3\n"
 
 
-@pytest.fixture
-def collector_state():
-    """Leave the cyclic collector as the test found it, whatever the test sets."""
-    enabled = gc.isenabled()
-    yield
-    if enabled:
-        gc.enable()
-    else:
-        gc.disable()
-
-
 def test_commands_run_with_the_collector_off(capsys, monkeypatch, collector_state):
     seen = []
 

@@ -1,5 +1,6 @@
 """Search oracles: exact maximum, maximal enumeration, seeded sampling."""
 
+import gc
 import sys
 import threading
 from collections import OrderedDict
@@ -161,6 +162,43 @@ def test_enumerate_cap():
         enumerate_maximal_intersecting(Params(4, 2, 2), cap=5)
     assert len(info.value.partial) == 5
     assert all(is_intersecting(f) for f in info.value.partial)
+
+
+def test_enumerate_lists_with_the_collector_off(monkeypatch, collector_state):
+    # every family, the CapExceeded partial's too, is built while the listing runs
+    seen = []
+    build = search._canonical_family
+
+    def probe(params, members):
+        seen.append(gc.isenabled())
+        return build(params, members)
+
+    monkeypatch.setattr(search, "_canonical_family", probe)
+    gc.enable()
+    families = enumerate_maximal_intersecting(Params(5, 3, 2))
+    assert len(seen) == len(families) > 1
+    assert not any(seen)
+    seen.clear()
+    with pytest.raises(CapExceeded):
+        enumerate_maximal_intersecting(Params(5, 3, 2), cap=5)
+    assert seen == [False] * 5
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("cap, raised", [(None, None), (5, CapExceeded), (-1, ValueError)],
+                         ids=["full", "cap-exceeded", "cap-refused"])
+def test_enumerate_restores_the_collector_state(collector_state, enabled, cap, raised):
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    if raised is None:
+        enumerate_maximal_intersecting(Params(5, 3, 2))
+    else:
+        with pytest.raises(raised):
+            enumerate_maximal_intersecting(Params(5, 3, 2), cap=cap)
+    assert gc.isenabled() is enabled
 
 
 def test_random_family_determinism():

@@ -2,6 +2,10 @@
 
 import dataclasses
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -82,6 +86,28 @@ MODULES = (
 )
 
 
+#: The module each public name that is not a module lives in.
+HOMES = {
+    "signedfam.core": [
+        "DEFAULT_CAP", "Pair", "Params", "PlainSet", "SignedFamily", "SignedSet",
+        "bound_value", "intersects", "is_intersecting", "make_signed_set", "mod_one_based",
+        "shift_signs", "star", "support", "universe",
+    ],
+    "signedfam.injection": [
+        "CertificateReport", "InjectionCertificate", "Partition", "assemble_injection",
+        "complements_in_tail", "match_to_shadow", "partition_family", "shadow_to",
+        "sign_assign", "verify_certificate",
+    ],
+    "signedfam.search": [
+        "DEFAULT_NODE_BUDGET", "SearchResult", "SplitMix64", "enumerate_maximal_intersecting",
+        "max_intersecting_exact", "random_maximal_intersecting",
+    ],
+}
+
+#: What a fresh search or verify-bound process imports of the library.
+SEARCH_MODULES = {"signedfam", "signedfam.core", "signedfam.errors", "signedfam.search"}
+
+
 def names_in(module, names):
     """The names module defines; a removed module must not import at all."""
     if module in REMOVED_MODULES:
@@ -95,6 +121,74 @@ def names_in(module, names):
 def test_all_lists_the_public_names():
     assert sorted(signedfam.__all__) == PUBLIC
     assert [name for name in PUBLIC if not hasattr(signedfam, name)] == []
+
+
+def test_star_import_binds_each_name_to_its_home_object():
+    namespace = {}
+    exec("from signedfam import *", namespace)
+    del namespace["__builtins__"]
+    expected = {
+        name: getattr(importlib.import_module(module), name)
+        for module, names in HOMES.items()
+        for name in names
+    }
+    expected.update(errors=importlib.import_module("signedfam.errors"))
+    expected.update(jsonl=importlib.import_module("signedfam.jsonl"))
+    assert sorted(expected) == PUBLIC
+    assert namespace.keys() == expected.keys()
+    assert [name for name in PUBLIC if namespace[name] is not expected[name]] == []
+
+
+def test_an_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        signedfam.no_such_name
+
+
+def loaded_modules(*args, cwd) -> set:
+    """The signedfam modules a fresh `python -X importtime ARGS` imports."""
+    env = dict(os.environ, PYTHONPATH=str(Path(signedfam.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = {
+        line.rsplit("|", 1)[-1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    return {name for name in names if name.partition(".")[0] == "signedfam"}
+
+
+def test_a_bare_import_loads_no_submodule(tmp_path):
+    # dir() lists every public name before any submodule is loaded
+    script = (
+        "import sys, signedfam\n"
+        "assert set(signedfam.__all__) <= set(dir(signedfam))\n"
+        "assert [m for m in sys.modules if m.startswith('signedfam.')] == []\n"
+    )
+    assert loaded_modules("-c", script, cwd=tmp_path) == {"signedfam"}
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["search", "-n", "4", "-k", "2", "-r", "2"], set()),
+        (["search", "-n", "4", "-k", "2", "-r", "2", "--json"], set()),
+        (["verify-bound", "-n", "4", "-k", "2", "-r", "2"], set()),
+        (["verify-bound", "-n", "4", "-k", "2", "-r", "2", "--json"], set()),
+        (["universe", "-n", "3", "-k", "1", "-r", "2"], {"signedfam.jsonl"}),
+        (["star", "-n", "4", "-k", "2", "-r", "2", "--json"], {"signedfam.jsonl"}),
+        (["random-family", "-n", "4", "-k", "2", "-r", "2", "--seed", "1", "-o", "f.jsonl"],
+         {"signedfam.jsonl"}),
+        (["inject", "f.jsonl", "--json"], {"signedfam.injection", "signedfam.jsonl"}),
+    ],
+    ids=["search", "search-json", "verify-bound", "verify-bound-json", "universe", "star",
+         "random-family", "inject"],
+)
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, extra):
+    (tmp_path / "f.jsonl").write_text('{"n":4,"k":2,"r":2,"sets":[[[1,1],[2,1]]]}\n')
+    assert loaded_modules("-m", "signedfam.cli", *argv, cwd=tmp_path) == SEARCH_MODULES | extra
 
 
 @pytest.mark.parametrize("module", MODULES)
