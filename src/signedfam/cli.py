@@ -8,10 +8,10 @@ verify-bound and random-family are bounded by the graph size limit alone.
 
 Exit codes: 0 success, 2 invalid parameters or parse errors, 3 over
 --cap or intersection graph too large, 4 input family not
-intersecting, 5 parameters outside the constructed range (r < 2 or
-2k > n), 1 anything else: a certificate that fails verification, an
-internal fault (recursion or memory exhausted) reported on one line, or
-a stdout closed before all was written, with nothing on stderr.
+intersecting, 5 parameters outside the constructed range (2k > n),
+1 anything else: a certificate that fails verification, an internal
+fault (recursion or memory exhausted) reported on one line, or a stdout
+closed before all was written, with nothing on stderr.
 
 Each command runs with the cyclic garbage collector paused.  What a
 command builds (sets, families, certificates, masks) is held in acyclic
@@ -139,9 +139,9 @@ def _cmd_verify_bound(args) -> int:
     """Run the exact search and compare it with the formula bound.
 
     For r >= 2 the two agree on every feasible instance; for r = 1 and
-    2k > n the search exceeds the formula, which is the reason the
-    injection refuses r = 1.  A spent node budget reports the run
-    inconclusive, never wrong.
+    2k > n the search exceeds the formula, which is why the injection
+    refuses 2k > n.  A spent node budget reports the run inconclusive,
+    never wrong.
     """
     res = max_intersecting_exact(_params(args), node_budget=args.budget)
     size, bound = res.max_size, bound_value(_params(args))

@@ -12,8 +12,10 @@ order.  Hall's condition for the matching follows from the
 intersection-shadow inequality applied to subfamilies of the tail
 complements, which inherit the pairwise intersection floor n - 2k.
 
-The construction is only valid for r >= 2 and 2k <= n and refuses to
-run outside that range.  It re-verifies every certificate it emits
+The paper proves the construction for r >= 2 and 2k <= n.  Its Hall
+argument needs only that free members share an element, so it runs at
+r = 1 too (one member per support class, no (1, i >= 2) block), and
+it refuses 2k > n alone.  It re-verifies every certificate it emits
 instead of trusting its own reasoning, and it is deterministic: a
 fixed input always produces a bit-identical certificate.
 """
@@ -25,7 +27,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
 from math import comb
-from operator import and_, itemgetter, lt, sub
+from operator import and_, itemgetter, lt, or_, sub
 
 from .core import (
     Params,
@@ -110,7 +112,7 @@ def complements_in_tail(free: SignedFamily) -> dict[PlainSet, list[SignedSet]]:
     for sup, members in by_support.items():
         if 1 in sup:
             raise ContainsOne(f"member {members[0]} contains element 1")
-        classes[tuple(x for x in tail if x not in sup)] = members
+        classes[tuple(itertools.filterfalse(set(sup).__contains__, tail))] = members
     return classes
 
 
@@ -185,13 +187,9 @@ def match_to_shadow(tails: tuple[PlainSet, ...], k: int) -> dict[PlainSet, Plain
     holds = _slot_masks(reversed(sh))
     bit = [0] + [1 << i for i in range(len(sh))]
     everything = (1 << len(sh)) - 1
-    rows = []
-    for m in tails:
-        outside = 0
-        for x, mask in holds.items():
-            if x not in m:
-                outside |= mask
-        rows.append(everything & ~outside)
+    # one set difference per row: it costs the shadow's elements plus the tail's, not their product
+    mask_of, outside = holds.__getitem__, set(holds).difference
+    rows = [everything & ~reduce(or_, map(mask_of, outside(m)), 0) for m in tails]
     owner = [-1] * len(bit)
     for u in range(len(rows)):
         # Kuhn's search from u.  path holds the shadow vertices taken,
@@ -324,10 +322,10 @@ class CertificateReport:
 def assemble_injection(fam: SignedFamily) -> InjectionCertificate:
     """Build and re-verify the injection of an intersecting family into the star.
 
-    Raises UnsupportedRange outside r >= 2, 2k <= n (the construction
-    is unproven there and can genuinely fail), NotIntersecting for
-    inputs with a disjoint pair, and propagates NoPerfectMatching or
-    GroupOverflow, which cannot occur for valid in-range inputs.
+    Raises UnsupportedRange when 2k > n (the construction is unproven
+    there and can genuinely fail), NotIntersecting for inputs with a
+    disjoint pair, and propagates NoPerfectMatching or GroupOverflow,
+    which cannot occur for valid in-range inputs, r = 1 included.
 
     The images share their pairs: each anchored block's distinct pairs
     go through shift_signs once, and its images are built from the
@@ -335,10 +333,8 @@ def assemble_injection(fam: SignedFamily) -> InjectionCertificate:
     one tuple per slot.
     """
     p = fam.params
-    if p.r < 2 or 2 * p.k > p.n:
-        raise UnsupportedRange(
-            f"injection is only constructed for r >= 2 and 2k <= n, got {p}"
-        )
+    if 2 * p.k > p.n:
+        raise UnsupportedRange(f"injection is only constructed for 2k <= n, got {p}")
     if not is_intersecting(fam):
         raise NotIntersecting("input family has a disjoint pair of members")
     part = partition_family(fam)

@@ -230,10 +230,14 @@ def test_assemble_empty_family():
 
 
 def test_assemble_rejects_out_of_range():
-    with pytest.raises(UnsupportedRange):
+    message = r"^injection is only constructed for 2k <= n, got "
+    with pytest.raises(UnsupportedRange, match=message):
         assemble_injection(star(Params(5, 3, 2)))
-    with pytest.raises(UnsupportedRange):
-        assemble_injection(star(Params(4, 2, 1)))
+    with pytest.raises(UnsupportedRange, match=message):
+        assemble_injection(star(Params(3, 2, 1)))
+    # r = 1 with 2k <= n is in range: the star maps to itself
+    fam = star(Params(4, 2, 1))
+    assert assemble_injection(fam).targets == fam.members
 
 
 def test_assemble_rejects_non_intersecting():
@@ -368,7 +372,7 @@ def in_range_corpus():
     """The intersecting_corpus() families that assemble_injection accepts."""
     for label, fam in intersecting_corpus():
         p = fam.params
-        in_range = p.r >= 2 and 2 * p.k <= p.n and {len(m) for m in fam} <= {p.k}
+        in_range = 2 * p.k <= p.n and {len(m) for m in fam} <= {p.k}
         if in_range and pairwise_intersecting(fam):
             yield label, fam
 
@@ -392,6 +396,26 @@ def test_proof_steps_on_enumerated_families():
         assert all(report.values()), report
         cert = assemble_injection(fam)
         assert verify_certificate(cert).ok
+
+
+#: Maximal intersecting family counts at r = 1 and 2k <= n, outside the paper's r >= 2.
+R1_MAXIMAL_COUNTS = {
+    Params(4, 2, 1): 8,
+    Params(5, 2, 1): 15,
+    Params(6, 2, 1): 26,
+    Params(6, 3, 1): 1024,
+    Params(7, 3, 1): 6127,
+}
+
+
+def test_every_maximal_family_at_r1_injects_and_checks():
+    from signedfam import enumerate_maximal_intersecting
+
+    for p, count in R1_MAXIMAL_COUNTS.items():
+        families = enumerate_maximal_intersecting(p)
+        assert len(families) == count, p
+        for fam in families:
+            assert verify_certificate(assemble_injection(fam)).ok
 
 
 def reference_verify_certificate(cert):
@@ -571,8 +595,13 @@ def test_partition_matches_the_member_loop_reference():
         assert {b.params for b in (part.free,) + part.anchored} == {fam.params}
 
 
+#: One free member of 1,000 pairs at n = 2,000, on the even elements: its tail
+#: complement is the 999 odd elements from 3, so each side interleaves the other.
+WIDE_FREE = sf(2000, 1000, 2, [[(x, 1) for x in range(2, 2001, 2)]])
+
+
 def test_complements_in_tail_match_the_support_reference():
-    for fam in cut_corpus():
+    for fam in cut_corpus() + (WIDE_FREE,):
         free = partition_family(fam).free
         # equal as dicts and in class order, which fixes the matching's input
         got = complements_in_tail(free)

@@ -157,6 +157,11 @@ def test_matching_equals_recursive_reference_on_random_plain_families():
         tails_in(9, [[2, 3, 4, 5], [2, 3, 4, 6], [3, 4, 5, 6]]),
         tails_in(9, [list(m) for m in itertools.combinations(range(2, 7), 4)]),
         tails_in(9, [list(m) for m in itertools.combinations(range(2, 8), 4)]),
+        # wide tails at n = 2,000, k = 1,000: the odd elements from 3, the tail
+        # complement of the even elements; then beside it the same with 1,999
+        # swapped for 2,000, so each row strikes a mask of the other's
+        tails_in(2000, [list(range(3, 2000, 2))]),
+        tails_in(2000, [list(range(3, 2000, 2)), list(range(3, 1998, 2)) + [2000]]),
     ],
 )
 def test_matching_equals_recursive_reference_on_edge_cases(tails):
