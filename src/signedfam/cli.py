@@ -22,9 +22,10 @@ collector's state on every exit, so a caller that had it on gets it
 back on, and one that had it off keeps it off.  The state is
 process-wide: while a command runs, other threads' cycles wait too.
 
-A command imports only the modules it runs: injection and jsonl load
-inside the commands that use them, so search and verify-bound load
-core, errors and search alone.
+A command imports only the modules it runs: search, injection and
+jsonl load inside the commands that use them, so search and
+verify-bound load core, errors and search alone, inject loads no
+search, and universe and star load jsonl besides core and errors.
 """
 
 from __future__ import annotations
@@ -33,9 +34,29 @@ import argparse
 import contextlib
 import sys
 
-from .core import DEFAULT_CAP, Params, _collector_paused, bound_value, compact_json, star, universe
+from .core import (
+    DEFAULT_CAP,
+    DEFAULT_NODE_BUDGET,
+    Params,
+    _collector_paused,
+    bound_value,
+    compact_json,
+    star,
+    universe,
+)
 from .errors import Error, FormatError, NotIntersecting, TooLarge, UnsupportedRange
-from .search import DEFAULT_NODE_BUDGET, max_intersecting_exact, random_maximal_intersecting
+
+
+def max_intersecting_exact(params: Params, node_budget: int):
+    """search.max_intersecting_exact, with search loaded on the first call.
+
+    It is a module attribute, not an import inside the commands, so that
+    rebinding cli.max_intersecting_exact reaches both commands that
+    search, as a tracer or a test may.
+    """
+    from .search import max_intersecting_exact
+
+    return max_intersecting_exact(params, node_budget=node_budget)
 
 
 def _format_set(sset) -> str:
@@ -88,6 +109,8 @@ def _cmd_star(args) -> int:
 
 
 def _cmd_random_family(args) -> int:
+    from .search import random_maximal_intersecting
+
     return _emit_family(random_maximal_intersecting(_params(args), args.seed), args)
 
 

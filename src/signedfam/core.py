@@ -46,6 +46,9 @@ PlainSet = tuple[int, ...]
 #: Default size cap for universe(), star() and enumerate_maximal_intersecting().
 DEFAULT_CAP = 10_000_000
 
+#: Default ceiling on branch-and-bound search tree nodes (search re-exports it).
+DEFAULT_NODE_BUDGET = 10_000_000
+
 #: Compact JSON text, the bytes of json.dumps(obj, separators=(",", ":")).
 #: The cycle check is off: every object written is built fresh from
 #: tuples, ints, strings and dicts, so none can contain itself, and the
@@ -216,8 +219,8 @@ def _slot_masks(members) -> dict:
     return slots
 
 
-def _cover_rows(members, sets):
-    """Yield, per set in sets, the OR of its slots' masks over members.
+def _cover_rows(slots: dict, sets):
+    """Yield, per set in sets, the OR of its slots' masks from _slot_masks.
 
     A row marks the members the set meets: bit j of member i's row is
     set iff members i and j share a slot, so a row covers member i
@@ -226,7 +229,6 @@ def _cover_rows(members, sets):
     member's row; is_intersecting takes only the rows of members
     outside its core slot.
     """
-    slots = _slot_masks(members)
     for m in sets:
         row = 0
         for p in m:
@@ -254,7 +256,7 @@ def is_intersecting(fam: SignedFamily) -> bool:
     if not outside:
         return True
     full = (1 << len(members)) - 1
-    return all(row == full for row in _cover_rows(members, outside))
+    return all(row == full for row in _cover_rows(_slot_masks(members), outside))
 
 
 def bound_value(params: Params) -> int:

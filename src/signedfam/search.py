@@ -10,10 +10,13 @@ graphs to stay within it; one lock guards the cache, so concurrent
 callers never see it mid-update.  On top of that graph:
 
 - exact maximum intersecting family size by branch-and-bound maximum
-  clique with greedy-colouring upper bounds; the graph is
-  vertex-transitive (S_r wr S_n permutes signs and elements), so once
-  the root colour bound beats the greedy incumbent only cliques
-  through vertex 0 are searched,
+  clique with greedy-colouring upper bounds, cut by two symmetry
+  lemmas.  Transitivity at the root: S_r wr S_n permutes signs and
+  elements and moves any vertex to vertex 0, so once the root colour
+  bound beats the greedy incumbent only cliques through vertex 0 are
+  searched.  The stabilizer at vertex 0: its orbits split N(0), and the
+  vertex-0 node branches once per orbit, on the orbit's lowest vertex,
+  dropping the whole orbit after its branch,
 - enumeration of all maximal intersecting families by Bron-Kerbosch
   with pivoting; the pivot scan visits only X once a vertex covers
   |P| - 1 candidates and stops at the first vertex that covers every
@@ -44,6 +47,7 @@ from operator import itemgetter
 
 from .core import (
     DEFAULT_CAP,
+    DEFAULT_NODE_BUDGET,
     Params,
     SignedFamily,
     _canonical_family,
@@ -52,12 +56,10 @@ from .core import (
     _cover_rows,
     _shown,
     _signed_count,
+    _slot_masks,
     universe,
 )
 from .errors import CapExceeded, TooLarge
-
-#: Default ceiling on branch-and-bound search tree nodes.
-DEFAULT_NODE_BUDGET = 10_000_000
 
 #: Ceiling on the V^2 bits of intersection-graph adjacency rows (512 MB).
 MAX_GRAPH_BITS = 2**32
@@ -162,9 +164,10 @@ _graphs_lock = threading.Lock()
 
 
 def _intersection_graph(params: Params):
-    """Vertices (canonical order) and bitmask adjacency rows, cached per params.
+    """Vertices (canonical order), bitmask adjacency rows and vertex 0's orbits.
 
-    Each row is the vertex's cover row minus its own bit.  Raises
+    Each row is the vertex's cover row minus its own bit; the orbits are
+    _orbits_below_0's, from the same slot masks.  Cached per params.  Raises
     TooLarge, before the universe is built, when the V^2 row bits would
     exceed MAX_GRAPH_BITS, the graph's only size limit.  The same limit
     bounds the cache: before a graph is built, least recently used
@@ -179,16 +182,51 @@ def _intersection_graph(params: Params):
             bits = nv * nv
             if bits > MAX_GRAPH_BITS:
                 raise TooLarge(f"graph has {shown}^2 adjacency bits, limit is {MAX_GRAPH_BITS}")
-            cached = sum(len(verts) ** 2 for verts, _ in _graphs.values())
+            cached = sum(len(verts) ** 2 for verts, *_ in _graphs.values())
             while cached + bits > MAX_GRAPH_BITS:
-                verts, _ = _graphs.popitem(last=False)[1]
+                verts, *_ = _graphs.popitem(last=False)[1]
                 cached -= len(verts) ** 2
             verts = universe(params).members
-            rows = _cover_rows(verts, verts)
+            slots = _slot_masks(verts)
+            rows = _cover_rows(slots, verts)
             adj = tuple(row ^ (1 << i) for i, row in enumerate(rows))
-            graph = verts, adj
+            graph = verts, adj, _orbits_below_0(params, slots, adj[0])
         _graphs[params] = graph
         return graph
+
+
+def _counts(masks, full: int) -> list[int]:
+    """Per c, the mask of the vertices of full that lie in exactly c of masks."""
+    counts = [full]
+    for m in masks:
+        counts = [c & ~m | below & m for c, below in zip(counts + [0], [0] + counts)]
+    return counts
+
+
+def _orbits_below_0(params: Params, slots: dict, nbrs: int) -> list[int]:
+    """The orbits O(i, j) of H = Stab(0) on vertex 0's neighbours nbrs, as masks.
+
+    Vertex 0 is {(1,1), ..., (k,1)}.  H permutes [k] and the other
+    elements among themselves, keeps sign 1 on [k] and permutes the
+    signs freely elsewhere, so a set's orbit is fixed by i, how many of
+    its elements lie in [k], and j, how many of those carry sign 1.  The
+    neighbours are the sets with j >= 1 but vertex 0, O(k, k) alone, and
+    O(i, j) holds C(k,i) * C(n-k,k-i) * C(i,j) * (r-1)^(i-j) * r^(k-i)
+    sets.  The masks come from the slot masks of (x, a), x in [k]: each
+    count is a mask, updated for every x at once, so the orbits cost
+    O(k^2) big-int operations and no pass over the vertices.  Nonempty
+    orbits only, the one whose lowest vertex is highest first.
+    """
+    ks = range(1, params.k + 1)
+    held = []
+    for x in ks:
+        mask = 0
+        for a in range(1, params.r + 1):
+            mask |= slots[x, a]
+        held.append(mask)
+    signed_one = _counts([slots[x, 1] for x in ks], nbrs)
+    orbits = [oi & oj for oi in _counts(held, nbrs) for oj in signed_one]
+    return sorted(filter(None, orbits), key=lambda o: o & -o, reverse=True)
 
 
 def _greedy_clique(adj, order) -> list[int]:
@@ -210,18 +248,32 @@ def max_intersecting_exact(
     Vertices keep canonical order (the graph is vertex-transitive, so a
     degree order would be the identity), candidates are greedily
     coloured at every node, and branches whose colour bound cannot
-    beat the incumbent are pruned.  The root colours the whole graph:
-    if that bound does not beat the greedy first-fit clique the search
-    ends after one node; otherwise it branches on vertex 0 alone,
-    bounded by the root colour count, since by transitivity some
-    maximum clique contains vertex 0.  Nodes are search-tree
-    expansions; when the budget runs out the best clique so far is
-    returned with exhausted = False and nodes_explored = node_budget.
-    A budget that is not an int >= 0 raises ValueError before the graph
-    is built.
+    beat the incumbent are pruned.  Two symmetry lemmas cut the top of
+    the tree:
+
+    - transitivity at the root: the root colours the whole graph, and
+      if that bound does not beat the greedy first-fit clique the search
+      ends after one node; otherwise it branches on vertex 0 alone,
+      bounded by the root colour count, since S_r wr S_n moves any
+      vertex to vertex 0, so some maximum clique contains it;
+    - the stabilizer at vertex 0: H = Stab(0) splits N(0) into the
+      orbits O(i, j) of _orbits_below_0.  The vertex-0 node takes them
+      in that fixed order; before each it recolours the live set and
+      stops once the colour bound cannot beat the incumbent, otherwise
+      it branches on the orbit's lowest vertex and drops the whole orbit
+      from the live set.  The live set stays a union of H-orbits, so a
+      largest clique through 0 in it that meets the orbit maps under H
+      to one through that vertex.  Deeper nodes branch on every
+      coloured vertex, last colour first.
+
+    The incumbent is replaced only by a strictly larger clique.  Nodes
+    are search-tree expansions; when the budget runs out the best clique
+    so far is returned with exhausted = False and nodes_explored =
+    node_budget.  A budget that is not an int >= 0 raises ValueError
+    before the graph is built.
     """
     _check_count("node budget", node_budget)
-    verts, adj = _intersection_graph(params)
+    verts, adj, orbits = _intersection_graph(params)
     nv = len(verts)
     best_clique = _greedy_clique(adj, range(nv))
     best_size = len(best_clique)
@@ -229,12 +281,7 @@ def max_intersecting_exact(
     aborted = False
     cur: list[int] = []
 
-    def expand(p_mask: int) -> None:
-        nonlocal nodes, best_size, best_clique, aborted
-        if nodes >= node_budget:
-            aborted = True
-            return
-        nodes += 1
+    def colouring(p_mask: int) -> tuple[list[int], list[int]]:
         # greedy colouring; colour numbers bound any clique inside p_mask
         col_order: list[int] = []
         col_bound: list[int] = []
@@ -247,14 +294,43 @@ def max_intersecting_exact(
                 b = avail & -avail
                 v = b.bit_length() - 1
                 avail ^= b
-                avail &= ~adj[v]
+                avail ^= avail & adj[v]
                 uncoloured ^= b
                 col_order.append(v)
                 col_bound.append(colour)
+        return col_order, col_bound
+
+    def branch(v: int, live: int) -> None:
+        nonlocal best_size, best_clique
+        cur.append(v)
+        nxt = live & adj[v]
+        if nxt:
+            expand(nxt)
+        elif len(cur) > best_size:
+            best_size = len(cur)
+            best_clique = cur.copy()
+        cur.pop()
+
+    def expand(p_mask: int) -> None:
+        nonlocal nodes, aborted
+        if nodes >= node_budget:
+            aborted = True
+            return
+        nodes += 1
+        if len(cur) == 1:
+            # vertex 0's node: one branch per orbit of its stabilizer
+            live = p_mask
+            for orbit in orbits:
+                if aborted or len(cur) + colouring(live)[1][-1] <= best_size:
+                    return
+                branch((orbit & -orbit).bit_length() - 1, live)
+                live ^= orbit
+            return
+        col_order, col_bound = colouring(p_mask)
         if not cur:
             # root: the graph is vertex-transitive, so some maximum clique
             # contains vertex 0; branch on it alone under the full bound
-            col_order, col_bound = [0], [colour]
+            col_order, col_bound = [0], col_bound[-1:]
         live = p_mask
         for i in range(len(col_order) - 1, -1, -1):
             if aborted:
@@ -262,14 +338,7 @@ def max_intersecting_exact(
             if len(cur) + col_bound[i] <= best_size:
                 return
             v = col_order[i]
-            cur.append(v)
-            nxt = live & adj[v]
-            if nxt:
-                expand(nxt)
-            elif len(cur) > best_size:
-                best_size = len(cur)
-                best_clique = cur.copy()
-            cur.pop()
+            branch(v, live)
             live ^= 1 << v
 
     expand((1 << nv) - 1)
@@ -309,7 +378,7 @@ def enumerate_maximal_intersecting(
     so cycles made by other threads wait until the listing returns.
     """
     _check_count("cap", cap)
-    verts, adj = _intersection_graph(params)
+    verts, adj, _ = _intersection_graph(params)
     found: list[tuple[int, ...]] = []
     cur: list[int] = []
 
@@ -387,7 +456,7 @@ def random_maximal_intersecting(params: Params, seed: int) -> SignedFamily:
     in [0, 2^64) raises ValueError before the graph is built.
     """
     rng = SplitMix64(seed)
-    verts, adj = _intersection_graph(params)
+    verts, adj, _ = _intersection_graph(params)
     idx = list(range(len(verts)))
     rng.shuffle(idx)
     chosen = sorted(_greedy_clique(adj, idx))

@@ -179,8 +179,8 @@ def test_verify_bound_json(capsys):
             '"matches":false,"conclusive":true,"nodes_explored":1}',
         ),
         (
-            ["-n", "9", "-k", "4", "-r", "2", "--budget", "5"],
-            '{"params":{"n":9,"k":4,"r":2},"max_size":448,"bound":448,'
+            ["-n", "7", "-k", "5", "-r", "2", "--budget", "5"],
+            '{"params":{"n":7,"k":5,"r":2},"max_size":240,"bound":240,'
             '"matches":true,"conclusive":false,"nodes_explored":5}',
         ),
     ],
@@ -412,10 +412,10 @@ def test_out_of_range_seed_exit_2(capsys, seed):
 
 def test_verify_bound_inconclusive_line(capsys):
     code, stdout, _ = run(
-        capsys, "verify-bound", "-n", "9", "-k", "4", "-r", "2", "--budget", "5"
+        capsys, "verify-bound", "-n", "7", "-k", "5", "-r", "2", "--budget", "5"
     )
     assert code == 0
-    assert stdout == "max>=448 bound=448 inconclusive (node budget exhausted)\n"
+    assert stdout == "max>=240 bound=240 inconclusive (node budget exhausted)\n"
 
 
 @pytest.mark.parametrize("lines", [[], ['{"n":4,"k":1,"r":2,"sets":[[[1,1]]]}'] * 2])

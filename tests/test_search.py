@@ -262,7 +262,7 @@ SMALL_GRAPHS = [
 
 @pytest.mark.parametrize("params", SMALL_GRAPHS, ids=str)
 def test_slot_mask_graph_matches_pairwise_reference(params):
-    verts, adj = search._intersection_graph(params)
+    verts, adj, _ = search._intersection_graph(params)
     ref_verts, ref_adj = pairwise_graph(params)
     assert verts == ref_verts
     assert adj == ref_adj
@@ -291,7 +291,7 @@ def test_search_families_are_canonical():
 
 def all_root_exact(params):
     """The search before fixing vertex 0: every root candidate is branched on."""
-    verts, adj = search._intersection_graph(params)
+    verts, adj, _ = search._intersection_graph(params)
     best = search._greedy_clique(adj, range(len(verts)))
     cur = []
 
@@ -344,11 +344,12 @@ def test_exact_fixed_vertex_matches_all_root_reference(params):
     [
         (Params(6, 3, 2), 1),
         (Params(8, 4, 2), 1),
-        (Params(7, 3, 3), 5),
-        (Params(8, 3, 3), 5),
-        (Params(9, 3, 3), 6),
-        (Params(9, 4, 2), 70),
-        (Params(10, 4, 2), 94),
+        (Params(7, 3, 3), 3),
+        (Params(8, 3, 3), 3),
+        (Params(9, 3, 3), 3),
+        (Params(9, 4, 2), 3),
+        (Params(10, 4, 2), 3),
+        (Params(7, 5, 2), 1379),
     ],
     ids=str,
 )
@@ -357,6 +358,53 @@ def test_exact_nodes_explored(params, nodes):
     assert res.exhausted
     assert res.max_size == bound_value(params)
     assert res.nodes_explored == nodes
+
+
+# Before the vertex-0 node branched once per orbit, neither search was
+# exhausted within 50,000 nodes.
+@pytest.mark.parametrize(
+    "params, nodes", [(Params(8, 5, 2), 1612), (Params(6, 6, 3), 6056)], ids=str
+)
+def test_exact_exhausts_within_20000_nodes(params, nodes):
+    res = max_intersecting_exact(params, node_budget=20_000)
+    assert res.exhausted
+    assert res.max_size == bound_value(params)
+    assert res.nodes_explored == nodes
+
+
+def orbit_key(sset, k):
+    """(i, j): the elements of sset in [k], and how many of those carry sign 1."""
+    inside = [a for x, a in sset if x <= k]
+    return len(inside), inside.count(1)
+
+
+@pytest.mark.parametrize(
+    "params", SMALL_GRAPHS + [Params(9, 4, 2), Params(9, 3, 3), Params(8, 5, 2)], ids=str
+)
+def test_vertex_0_orbits_are_the_stabilizer_orbits(params):
+    verts, adj, orbits = search._intersection_graph(params)
+    n, k, r = params.n, params.k, params.r
+    want = {
+        (i, j): comb(k, i) * comb(n - k, k - i) * comb(i, j) * (r - 1) ** (i - j) * r ** (k - i)
+        for i in range(1, k + 1)
+        for j in range(1, i + 1)
+        if (i, j) != (k, k)  # vertex 0 alone, outside its own neighbourhood
+    }
+    got = {}
+    for orbit in orbits:
+        keys = {orbit_key(verts[v], k) for v in bit_indices(orbit)}
+        assert len(keys) == 1
+        got[keys.pop()] = orbit.bit_count()
+    assert len(got) == len(orbits)
+    assert got == {key: size for key, size in want.items() if size}
+    # they partition N(0), the orbit whose lowest vertex is highest first
+    union = 0
+    for orbit in orbits:
+        union |= orbit
+    assert union == adj[0]
+    assert sum(orbit.bit_count() for orbit in orbits) == adj[0].bit_count()
+    lowest = [orbit & -orbit for orbit in orbits]
+    assert lowest == sorted(lowest, reverse=True)
 
 
 def bit_indices(mask):
@@ -373,7 +421,7 @@ def generator_pivot_cliques(params, cap, pivots=None):
     pivots list is given, the pivot of every call with at least two
     candidates is appended to it, in call order.
     """
-    verts, adj = search._intersection_graph(params)
+    verts, adj, _ = search._intersection_graph(params)
     found, cur = [], []
 
     def bk(p_mask, x_mask):
@@ -432,7 +480,7 @@ def test_enumerate_pivots_match_generator_pivot_reference(monkeypatch):
     params = Params(5, 3, 2)
     want = []
     generator_pivot_cliques(params, 10**7, pivots=want)
-    verts, adj = search._intersection_graph(params)
+    verts, adj, _ = search._intersection_graph(params)
     got = []
 
     class LoggedRow(int):
@@ -443,7 +491,7 @@ def test_enumerate_pivots_match_generator_pivot_reference(monkeypatch):
     rows = tuple(LoggedRow(row) for row in adj)
     for v, row in enumerate(rows):
         row.vertex = v
-    monkeypatch.setattr(search, "_intersection_graph", lambda p: (verts, rows))
+    monkeypatch.setattr(search, "_intersection_graph", lambda p: (verts, rows, []))
     fams = enumerate_maximal_intersecting(params)
     assert len(fams) == 3422
     assert len(got) == len(want) > 10_000
@@ -548,7 +596,7 @@ def fresh_graph_cache(monkeypatch):
 
 
 def cached_bits():
-    return sum(len(verts) ** 2 for verts, _ in search._graphs.values())
+    return sum(len(verts) ** 2 for verts, *_ in search._graphs.values())
 
 
 def test_graph_preflight_boundary(monkeypatch):
@@ -663,11 +711,13 @@ def test_graph_cache_is_safe_across_threads(monkeypatch):
 
 @pytest.mark.parametrize(
     "params",
-    [Params(3, 2, 1), Params(4, 2, 1), Params(6, 3, 2), Params(7, 3, 3), Params(9, 4, 2)],
+    [Params(3, 2, 1), Params(4, 2, 1), Params(6, 3, 2), Params(7, 3, 3), Params(9, 4, 2)]
+    + [p for p in SMALL_GRAPHS if p != Params(7, 6, 2) and bound_value(p) > 1],
 )
 def test_exact_finds_maximum_from_a_one_vertex_incumbent(monkeypatch, params):
     # first-fit already yields a maximum clique, so the search never has
-    # to improve on it; a one-vertex incumbent forces that update path
+    # to improve on it; a one-vertex incumbent forces that update path,
+    # through whichever orbit's branch at vertex 0 reaches a maximum
     want = max_intersecting_exact(params).max_size
     assert want > 1
     monkeypatch.setattr(search, "_greedy_clique", lambda adj, order: [0])
@@ -679,15 +729,15 @@ def test_exact_finds_maximum_from_a_one_vertex_incumbent(monkeypatch, params):
 
 
 def test_exact_budget_aborts_mid_loop():
-    res = max_intersecting_exact(Params(9, 4, 2), node_budget=5)
-    assert (res.max_size, res.nodes_explored, res.exhausted) == (448, 5, False)
-    assert len(res.witness) == 448
+    res = max_intersecting_exact(Params(7, 5, 2), node_budget=5)
+    assert (res.max_size, res.nodes_explored, res.exhausted) == (240, 5, False)
+    assert len(res.witness) == 240
     assert is_intersecting(res.witness)
 
 
 @pytest.mark.parametrize("budget", range(6))
 def test_exact_aborted_search_spends_exactly_its_budget(budget):
     # the budget is checked before a node is counted, so it is never overrun
-    res = max_intersecting_exact(Params(9, 4, 2), node_budget=budget)
+    res = max_intersecting_exact(Params(7, 5, 2), node_budget=budget)
     assert not res.exhausted
     assert res.nodes_explored == budget
